@@ -13,9 +13,10 @@
 //!   requests to different banks overlap;
 //! * **pluggable scheduling policies** ([`SchedPolicy`]): FCFS,
 //!   FR-FCFS-style row-hit-first (a zero-shift candidate bypasses
-//!   older work), and shift-aware shortest-shift-distance-first, which
-//!   consults per-group head positions and the p-ECC/STS latency model
-//!   from `rtm-controller`;
+//!   older work), and shift-aware, which reorders the stripe group
+//!   holding the bank's oldest request by estimated latency from the
+//!   group's head position and the p-ECC/STS latency model of
+//!   `rtm-controller`; a starvation bound overrides both;
 //! * **a closed-loop client model** with per-client think time and a
 //!   bounded outstanding-request budget;
 //! * **full queueing statistics** — exact p50/p95/p99 queue delay,
@@ -27,11 +28,6 @@
 //! Everything is single-threaded and seedable: a [`ServeSim`] run is a
 //! pure function of its configuration and trace, so sweeps parallelised
 //! with `rtm-par` are bit-identical for any thread count.
-//!
-//! For whole-hierarchy integration, [`QueuedLlc`] wraps a
-//! [`rtm_mem::RacetrackLlc`] with bank-occupancy accounting and mounts
-//! into [`rtm_mem::Hierarchy`] via `Hierarchy::with_llc` (the
-//! queued-LLC mode).
 //!
 //! # Examples
 //!
@@ -52,14 +48,12 @@
 
 pub mod parallel;
 pub mod policy;
-pub mod queued;
 pub mod sim;
 
 pub use parallel::{
     run_mutex, run_oracle, run_parallel, GroupRouter, ServeStats, ShiftCommand, ThroughputConfig,
 };
 pub use policy::SchedPolicy;
-pub use queued::{queued_hierarchy, QueuedLlc};
 pub use sim::{
     Completion, LatencySummary, RequestSource, ServeConfig, ServeResult, ServeSim, SourcePoll,
     ATTRIBUTION_COMPONENTS,

@@ -12,9 +12,13 @@ pub enum SchedPolicy {
     /// an open DRAM row) bypasses older work; ties and the no-hit case
     /// fall back to arrival order.
     FrFcfs,
-    /// Shortest-shift-distance-first: picks the candidate with the
-    /// lowest estimated service latency under the bank's p-ECC/STS
-    /// cost model and current head positions, oldest first on ties.
+    /// Shortest-shift-distance-first inside one stripe group: among the
+    /// requests of the group that holds the bank's oldest request,
+    /// picks the lowest estimated service latency under the bank's
+    /// p-ECC/STS cost model and that group's head position, oldest
+    /// first on ties. Other groups wait their turn in arrival order
+    /// (their heads are independent, so deferring a group saves no
+    /// shift work). A request at the starvation bound goes first.
     ShiftAware,
 }
 

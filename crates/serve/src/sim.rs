@@ -7,8 +7,8 @@
 //! complete → admit → dispatch before moving on, so the schedule is a
 //! pure function of the configuration and the trace.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use crate::policy::SchedPolicy;
 use rtm_controller::controller::ShiftPolicy;
@@ -398,16 +398,38 @@ struct Queued {
     is_write: bool,
     client: u8,
     arrival: u64,
-    /// Times a younger request was dispatched past this one.
-    bypassed: u32,
+    /// Requests enqueued on this bank before this one. Once this is the
+    /// bank's oldest request, every one of those has been dispatched,
+    /// so the bank's other dispatches since then (`bank_dispatched −
+    /// base`) are exactly the younger requests that overtook it.
+    base: u64,
 }
 
-/// A dispatched request awaiting completion.
-#[derive(Debug, Clone, Copy)]
+impl Queued {
+    fn kind(&self) -> AccessKind {
+        if self.is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    }
+}
+
+/// A dispatched request awaiting completion, ordered by
+/// `(complete_at, seq)` in the completion min-heap.
+///
+/// The clock never steps past a completion: `next_event_time` never
+/// returns a cycle later than the earliest `complete_at`, and every
+/// instant retires all requests due by it. So the requests retired
+/// together all have `complete_at == clock`, and popping them in `seq`
+/// order hands them to the source in dispatch order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct InFlight {
+    complete_at: u64,
+    /// Dispatch sequence number: unique, so it decides every tie.
+    seq: u64,
     id: u64,
     client: u8,
-    complete_at: u64,
     queue_delay: u64,
     service_cycles: u64,
     fill_cycles: u64,
@@ -422,19 +444,20 @@ pub struct ServeSim {
     llc: RacetrackLlc,
     mem_cycles: u64,
     clock: u64,
-    /// Per-group bounded FIFO queues. A `BTreeMap` keeps iteration in
-    /// group order, independent of insertion history.
+    /// Per-group bounded FIFO queues, ids ascending front to back.
     queues: BTreeMap<usize, VecDeque<Queued>>,
-    /// Non-empty stripe groups of each bank, kept sorted ascending —
-    /// the dispatch-side index. `select` and the bypass-aging walk
-    /// touch only their bank's list (O(groups-with-work / bank))
-    /// instead of filtering every queue in the map, while iteration
-    /// order (ascending group) stays identical to the map walk it
-    /// replaces, so schedules are unchanged.
-    bank_groups: Vec<Vec<usize>>,
+    /// Non-empty stripe groups of each bank as `(front id, group)`:
+    /// `first()` is the group holding the bank's oldest request.
+    bank_groups: Vec<BTreeSet<(u64, usize)>>,
+    /// Requests ever enqueued on / dispatched from each bank (the
+    /// bypass identity on [`Queued::base`]).
+    bank_enqueued: Vec<u64>,
+    bank_dispatched: Vec<u64>,
     queued_total: usize,
     bank_free_at: Vec<u64>,
-    in_flight: Vec<InFlight>,
+    in_flight: BinaryHeap<Reverse<InFlight>>,
+    /// Dispatches so far: the next [`InFlight::seq`].
+    dispatched: u64,
     outstanding: Vec<usize>,
     ready_at: Vec<u64>,
     pending: Option<MemAccess>,
@@ -488,10 +511,13 @@ impl ServeSim {
                 .access_cycles,
             clock: 0,
             queues: BTreeMap::new(),
-            bank_groups: vec![Vec::new(); cfg.banks as usize],
+            bank_groups: vec![BTreeSet::new(); cfg.banks as usize],
+            bank_enqueued: vec![0; cfg.banks as usize],
+            bank_dispatched: vec![0; cfg.banks as usize],
             queued_total: 0,
             bank_free_at: vec![0; cfg.banks as usize],
-            in_flight: Vec::new(),
+            in_flight: BinaryHeap::new(),
+            dispatched: 0,
             outstanding: vec![0; cfg.clients as usize],
             ready_at: vec![0; cfg.clients as usize],
             pending: None,
@@ -565,10 +591,7 @@ impl ServeSim {
 
     /// The earliest future instant at which anything can change.
     fn next_event_time(&self) -> Option<u64> {
-        let mut next = u64::MAX;
-        for f in &self.in_flight {
-            next = next.min(f.complete_at);
-        }
+        let mut next = self.in_flight.peek().map_or(u64::MAX, |f| f.0.complete_at);
         if self.queued_total > 0 {
             // After the fixpoint, any still-queued request's bank is
             // busy; its free time is the next chance to dispatch.
@@ -605,38 +628,36 @@ impl ServeSim {
     /// completion back to the source. Returns whether any completed.
     fn complete<S: RequestSource + ?Sized>(&mut self, source: &mut S) -> bool {
         let mut any = false;
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].complete_at <= self.clock {
-                let f = self.in_flight.remove(i);
-                self.outstanding[f.client as usize] -= 1;
-                self.completed += 1;
-                self.totals.push(f.total_cycles);
-                self.registry.observe_with(
-                    "serve.total_cycles",
-                    f.total_cycles as f64,
-                    &LATENCY_BOUNDS,
-                );
-                rtm_obs::record_event(
-                    f.complete_at,
-                    ShiftEvent::ReqCompleted {
-                        id: f.id,
-                        service_cycles: f.service_cycles,
-                    },
-                );
-                source.completed(&Completion {
-                    id: f.id,
-                    cycle: f.complete_at,
-                    queue_delay: f.queue_delay,
-                    service: f.service_cycles,
-                    fill: f.fill_cycles,
-                    total: f.total_cycles,
-                    is_write: f.is_write,
-                });
-                any = true;
-            } else {
-                i += 1;
+        while let Some(&Reverse(f)) = self.in_flight.peek() {
+            if f.complete_at > self.clock {
+                break;
             }
+            self.in_flight.pop();
+            self.outstanding[f.client as usize] -= 1;
+            self.completed += 1;
+            self.totals.push(f.total_cycles);
+            self.registry.observe_with(
+                "serve.total_cycles",
+                f.total_cycles as f64,
+                &LATENCY_BOUNDS,
+            );
+            rtm_obs::record_event(
+                f.complete_at,
+                ShiftEvent::ReqCompleted {
+                    id: f.id,
+                    service_cycles: f.service_cycles,
+                },
+            );
+            source.completed(&Completion {
+                id: f.id,
+                cycle: f.complete_at,
+                queue_delay: f.queue_delay,
+                service: f.service_cycles,
+                fill: f.fill_cycles,
+                total: f.total_cycles,
+                is_write: f.is_write,
+            });
+            any = true;
         }
         any
     }
@@ -689,21 +710,18 @@ impl ServeSim {
             }
             let id = self.next_id;
             self.next_id += 1;
+            let bank = group % self.cfg.banks as usize;
             q.push_back(Queued {
                 id,
                 addr: a.addr,
                 is_write: a.is_write,
                 client: c as u8,
                 arrival: self.clock,
-                bypassed: 0,
+                base: self.bank_enqueued[bank],
             });
+            self.bank_enqueued[bank] += 1;
             if q.len() == 1 {
-                // Group just became non-empty: index it for its bank.
-                let bank = group % self.cfg.banks as usize;
-                let list = &mut self.bank_groups[bank];
-                if let Err(pos) = list.binary_search(&group) {
-                    list.insert(pos, group);
-                }
+                self.bank_groups[bank].insert((id, group));
             }
             self.queued_total += 1;
             self.peak_queued = self.peak_queued.max(self.queued_total);
@@ -742,28 +760,18 @@ impl ServeSim {
             };
             let q = self.queues.get_mut(&group).expect("selected group exists");
             let req = q.remove(idx).expect("selected index exists");
-            if q.is_empty() {
-                self.queues.remove(&group);
-                let list = &mut self.bank_groups[bank];
-                let pos = list.binary_search(&group).expect("group was indexed");
-                list.remove(pos);
-            }
-            self.queued_total -= 1;
-            // Every older request still queued on this bank was just
-            // overtaken; count it towards their starvation bound.
-            for &g in &self.bank_groups[bank] {
-                let q = self.queues.get_mut(&g).expect("indexed group exists");
-                for r in q.iter_mut() {
-                    if r.id < req.id {
-                        r.bypassed += 1;
-                    }
+            if idx == 0 {
+                // The group's front changed: re-key it in the index.
+                let groups = &mut self.bank_groups[bank];
+                groups.remove(&(req.id, group));
+                if let Some(next) = q.front() {
+                    groups.insert((next.id, group));
+                } else {
+                    self.queues.remove(&group);
                 }
             }
-            let kind = if req.is_write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
+            self.queued_total -= 1;
+            self.bank_dispatched[bank] += 1;
             if self.llc.predicted_shift_distance(req.addr) == 0 {
                 self.zero_shift_dispatches += 1;
             }
@@ -778,7 +786,7 @@ impl ServeSim {
             let dispatch_span = spans.reserve();
             let resp = {
                 let _parent = ParentScope::enter(dispatch_span);
-                self.llc.access(req.addr, kind, self.clock)
+                self.llc.access(req.addr, req.kind(), self.clock)
             };
             let after = self.llc.stats();
             let shift_delta = after.shift_cycles - before.shift_cycles;
@@ -828,16 +836,18 @@ impl ServeSim {
                     );
                 }
             }
-            self.in_flight.push(InFlight {
+            self.in_flight.push(Reverse(InFlight {
+                complete_at,
+                seq: self.dispatched,
                 id: req.id,
                 client: req.client,
-                complete_at,
                 queue_delay,
                 service_cycles,
                 fill_cycles: fill,
                 total_cycles: queue_delay + service_cycles + fill,
                 is_write: req.is_write,
-            });
+            }));
+            self.dispatched += 1;
             self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
             self.queue_delays.push(queue_delay);
             self.services.push(service_cycles);
@@ -870,65 +880,41 @@ impl ServeSim {
         any
     }
 
-    /// Picks the best (group, queue index) for `bank` under the active
-    /// policy, or `None` when the bank has no queued work. Candidates
-    /// queued past the aging cap outrank every younger one (oldest
-    /// first), bounding starvation under the reordering policies. Ties
-    /// break on request id (arrival order), so the schedule is
-    /// total-ordered.
+    /// Picks the (group, queue index) `bank` dispatches next under the
+    /// active policy, or `None` when the bank has no queued work.
+    ///
+    /// Bypass counts are monotone in age (whatever overtook a request
+    /// also overtook every older one still queued), so some request has
+    /// hit the starvation bound exactly when the bank's oldest has, and
+    /// then the oldest goes first. Otherwise FR-FCFS takes the oldest
+    /// zero-shift candidate of the bank, and shift-aware the lowest
+    /// estimated latency inside the oldest request's group alone: each
+    /// group's head is independent, so deferring one group for another
+    /// saves no shift work and only starves. Ties break on request id.
     fn select(&self, bank: usize) -> Option<(usize, usize)> {
-        // Only this bank's non-empty groups are visited (the
-        // `bank_groups` index), not every queue in the simulator; the
-        // list is sorted ascending so candidate order — and therefore
-        // every tie-break — matches the full-map walk it replaced.
-        //
-        // Shift distance only matters within a stripe group — each
-        // group's head is independent, so deferring one group for
-        // another saves no shift work and only starves. The shift-aware
-        // policy therefore picks its group FCFS (the one holding the
-        // bank's oldest request) and reorders inside it alone.
-        let aware_group = if self.cfg.policy == SchedPolicy::ShiftAware {
-            self.bank_groups[bank]
-                .iter()
-                .min_by_key(|&&g| self.queues[&g].front().map_or(u64::MAX, |r| r.id))
-                .copied()
-        } else {
-            None
-        };
-        let mut best: Option<(u64, u64, u64, usize, usize)> = None;
-        for &group in &self.bank_groups[bank] {
-            let q = &self.queues[&group];
-            for (idx, req) in q.iter().enumerate() {
-                let expired =
-                    self.cfg.policy != SchedPolicy::Fcfs && req.bypassed >= self.cfg.starve_limit;
-                if !expired && aware_group.is_some_and(|g| g != group) {
-                    continue;
-                }
-                let cost = if expired {
-                    0
-                } else {
-                    match self.cfg.policy {
-                        SchedPolicy::Fcfs => 0,
-                        SchedPolicy::FrFcfs => {
-                            u64::from(self.llc.predicted_shift_distance(req.addr) != 0)
-                        }
-                        SchedPolicy::ShiftAware => {
-                            let kind = if req.is_write {
-                                AccessKind::Write
-                            } else {
-                                AccessKind::Read
-                            };
-                            self.llc.estimated_latency(req.addr, kind)
-                        }
-                    }
-                };
-                let key = (u64::from(!expired), cost, req.id, group, idx);
-                if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                    best = Some(key);
-                }
-            }
+        let &(_, oldest) = self.bank_groups[bank].first()?;
+        let q = &self.queues[&oldest];
+        let bypassed = self.bank_dispatched[bank] - q[0].base;
+        if self.cfg.policy == SchedPolicy::Fcfs || bypassed >= u64::from(self.cfg.starve_limit) {
+            return Some((oldest, 0));
         }
-        best.map(|(_, _, _, group, idx)| (group, idx))
+        if self.cfg.policy == SchedPolicy::ShiftAware {
+            let idx = (0..q.len())
+                .min_by_key(|&i| (self.llc.estimated_latency(q[i].addr, q[i].kind()), q[i].id))
+                .expect("indexed group is non-empty");
+            return Some((oldest, idx));
+        }
+        let hit = self.bank_groups[bank]
+            .iter()
+            .filter_map(|&(_, group)| {
+                let q = &self.queues[&group];
+                let idx = q
+                    .iter()
+                    .position(|r| self.llc.predicted_shift_distance(r.addr) == 0)?;
+                Some((q[idx].id, group, idx))
+            })
+            .min();
+        Some(hit.map_or((oldest, 0), |(_, group, idx)| (group, idx)))
     }
 
     /// Final accounting.
