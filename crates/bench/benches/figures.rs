@@ -40,7 +40,7 @@ fn main() {
         performance::figure14_experiment(&s)
     });
     bench("fig15_latency_sensitivity", || {
-        performance::figure15_experiment(200)
+        performance::figure15_experiment(200, &rtm_obs::Obs::default())
     });
     bench("fig16_execution_time_sim", || {
         performance::figure16_experiment(&s)

@@ -9,6 +9,7 @@ use rtm_controller::controller::{ShiftController, ShiftPolicy};
 use rtm_mem::hierarchy::{Hierarchy, LlcChoice};
 use rtm_model::params::DeviceParams;
 use rtm_model::shift::ShiftSimulator;
+use rtm_obs::Obs;
 use rtm_pecc::code::PeccCode;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_pecc::protected::ProtectedStripe;
@@ -81,7 +82,7 @@ fn bench_hierarchy_access() {
         ("rm_adaptive", LlcChoice::RacetrackPeccSAdaptive),
         ("rm_pecc_o", LlcChoice::RacetrackPeccO),
     ] {
-        let mut sys = Hierarchy::new(choice);
+        let mut sys = Hierarchy::new(choice, Obs::default());
         let mut gen = TraceGenerator::new(WorkloadProfile::by_name("canneal").unwrap(), 11);
         bench(&format!("hierarchy_access/{label}"), || {
             let a = gen.next_access();

@@ -21,6 +21,7 @@ use rtm_model::montecarlo::{position_pdf_with_threads, PositionPdf};
 use rtm_model::params::DeviceParams;
 use rtm_model::shift::ShiftOutcome;
 use rtm_obs::json::Json;
+use rtm_obs::Obs;
 use rtm_track::fault::{AliasFaultModel, FaultModel, GaussianFaultModel};
 use std::time::Instant;
 
@@ -56,6 +57,7 @@ fn fig4_mc(trials: u64, seed: u64, threads: usize) -> Vec<PositionPdf> {
                 trials,
                 rtm_util::rng::derive_seed(seed, d as u64),
                 threads,
+                &Obs::default(),
             )
         })
         .collect()

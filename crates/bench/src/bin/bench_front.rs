@@ -26,6 +26,7 @@
 use rtm_core::experiments::frontdoor::FrontSettings;
 use rtm_front::{run_front, FrontResult, Loopback};
 use rtm_obs::json::Json;
+use rtm_obs::Obs;
 use rtm_serve::SchedPolicy;
 use std::time::Instant;
 
@@ -59,7 +60,7 @@ fn run_ladder(quick: bool, threads: usize) -> Vec<Cell> {
         let (tenants, policy) = grid[i];
         let cfg = settings_for(tenants, quick).config();
         let start = Instant::now();
-        let result = run_front(&cfg, policy);
+        let result = run_front(&cfg, policy, Obs::default());
         (start.elapsed().as_secs_f64() * 1e3, result)
     });
     grid.into_iter()
@@ -90,7 +91,7 @@ fn check_wire_equivalence(quick: bool) {
             std::process::exit(1);
         }
     };
-    let internal = run_front(&cfg, policy);
+    let internal = run_front(&cfg, policy, Obs::default());
     if replayed.classes != internal.classes || replayed.serve != internal.serve {
         eprintln!(
             "WIRE REGRESSION: loopback replay diverges from the in-process \

@@ -17,6 +17,7 @@ use rtm_core::experiments::{RtVariant, SimSweep, SweepSettings};
 use rtm_model::montecarlo::{position_pdf_with_threads, PositionPdf};
 use rtm_model::params::DeviceParams;
 use rtm_obs::json::Json;
+use rtm_obs::Obs;
 use std::time::Instant;
 
 /// One timed leg: wall seconds plus whatever the run produced.
@@ -37,6 +38,7 @@ fn fig4_mc(trials: u64, seed: u64, threads: usize) -> Vec<PositionPdf> {
                 trials,
                 rtm_util::rng::derive_seed(seed, d as u64),
                 threads,
+                &Obs::default(),
             )
         })
         .collect()

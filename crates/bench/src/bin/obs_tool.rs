@@ -22,7 +22,7 @@
 
 use rtm_obs::export::{chrome_trace, folded_stacks};
 use rtm_obs::json::Json;
-use rtm_obs::span::SpanTraceSnapshot;
+use rtm_obs::trace::SpanSnapshot;
 
 fn usage() -> ! {
     eprintln!(
@@ -46,11 +46,11 @@ fn read_json(path: &str) -> Json {
 
 /// Extracts the span snapshot from an events dump (nested under
 /// `"spans"`) or from a bare span-snapshot document.
-fn load_spans(path: &str) -> SpanTraceSnapshot {
+fn load_spans(path: &str) -> SpanSnapshot {
     let doc = read_json(path);
-    let nested = doc.get("spans").and_then(SpanTraceSnapshot::from_json);
+    let nested = doc.get("spans").and_then(SpanSnapshot::from_json);
     nested
-        .or_else(|| SpanTraceSnapshot::from_json(&doc))
+        .or_else(|| SpanSnapshot::from_json(&doc))
         .unwrap_or_else(|| {
             eprintln!("error: {path}: no span snapshot found (expected a \"spans\" key)");
             std::process::exit(2);

@@ -16,12 +16,14 @@
 
 use rtm_core::experiments::report::live_report;
 use rtm_core::experiments::SweepSettings;
+use rtm_obs::Obs;
 
 fn main() {
     let mut quick = false;
     let mut out: Option<std::path::PathBuf> = None;
     let mut metrics: Option<std::path::PathBuf> = None;
     let mut events: Option<std::path::PathBuf> = None;
+    let mut progress = false;
     let mut engine = rtm_model::analytic::Engine::default();
     let mut fault_model = rtm_track::fault::FaultModelChoice::default();
     let mut args = std::env::args().skip(1);
@@ -37,7 +39,7 @@ fn main() {
             "--out" => out = Some(path_arg(&mut args, "--out").into()),
             "--metrics" => metrics = Some(path_arg(&mut args, "--metrics").into()),
             "--events" => events = Some(path_arg(&mut args, "--events").into()),
-            "--progress" => rtm_obs::set_progress(true),
+            "--progress" => progress = true,
             "--engine" => match path_arg(&mut args, "--engine").parse() {
                 Ok(e) => engine = e,
                 Err(e) => {
@@ -82,12 +84,10 @@ fn main() {
             }
         }
     }
-    if metrics.is_some() {
-        rtm_obs::global().registry().set_enabled(true);
-    }
-    if events.is_some() {
-        rtm_obs::global().trace().set_enabled(true);
-    }
+    let obs = Obs::default()
+        .with_metrics(metrics.is_some())
+        .with_trace(events.is_some())
+        .with_progress(progress);
     let mut settings = if quick {
         let mut s = SweepSettings::quick();
         s.accesses = 60_000;
@@ -103,7 +103,7 @@ fn main() {
         settings.profiles().len(),
         settings.accesses
     );
-    let report = live_report(&settings);
+    let report = live_report(&settings, &obs);
     let md = report.to_markdown();
     match &out {
         Some(path) => {
@@ -122,11 +122,11 @@ fn main() {
         }
         eprintln!("wrote {}", path.display());
     };
-    if let Some(path) = &metrics {
-        write_json(path, &rtm_obs::global().registry().snapshot().to_json());
+    if let (Some(path), Some(reg)) = (&metrics, obs.metrics()) {
+        write_json(path, &reg.snapshot().to_json());
     }
-    if let Some(path) = &events {
-        write_json(path, &rtm_obs::global().trace().snapshot().to_json());
+    if let (Some(path), Some(trace)) = (&events, obs.trace()) {
+        write_json(path, &trace.snapshot().to_json());
     }
     if report.pass_rate() < 1.0 {
         eprintln!("REPRODUCTION REGRESSION: some claims failed");

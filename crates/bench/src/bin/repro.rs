@@ -8,11 +8,11 @@
 //!     --exp fig14 --quick --metrics m.json --events e.json --progress
 //! ```
 //!
-//! `--metrics` / `--events` switch on the rtm-obs registry and shift
-//! transaction trace and dump their snapshots as JSON on exit (the
+//! `--metrics` / `--events` give the run's rtm-obs observer a metric
+//! store and a trace and dump their snapshots as JSON on exit (the
 //! events dump carries the cycle-stamped span forest under a `"spans"`
 //! key, and any ring-buffer drops are reported on stderr); `--labels
-//! <path>` switches on the labeled registry and dumps its snapshot;
+//! <path>` dumps the labeled entries of the same metric store;
 //! `--attribution` appends exact cycle-attribution tables to the
 //! `serve` and `fig14` reports (and writes them as CSV + JSON when
 //! `--csv` is given); `--progress` prints heartbeat lines for long
@@ -42,6 +42,7 @@ use rtm_core::experiments::{
 use rtm_front::ClassSpec;
 use rtm_mem::hierarchy::LlcChoice;
 use rtm_model::analytic::Engine;
+use rtm_obs::Obs;
 use rtm_serve::SchedPolicy;
 
 struct Options {
@@ -240,20 +241,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if opts.metrics.is_some() {
-        rtm_obs::global().registry().set_enabled(true);
-    }
-    if opts.events.is_some() {
-        // Spans ride along in the events dump under a "spans" key.
-        rtm_obs::global().trace().set_enabled(true);
-        rtm_obs::global().spans().set_enabled(true);
-    }
-    if opts.labels.is_some() {
-        rtm_obs::global().labeled().set_enabled(true);
-    }
-    if opts.progress {
-        rtm_obs::set_progress(true);
-    }
+    // One observer for the whole run: flat and labeled metrics share
+    // its registry, spans and events its trace.
+    let obs = Obs::default()
+        .with_metrics(opts.metrics.is_some())
+        .with_labels(opts.labels.is_some())
+        .with_trace(opts.events.is_some())
+        .with_progress(opts.progress);
     let mut settings = if opts.quick {
         let mut s = SweepSettings::quick();
         s.accesses = 60_000;
@@ -283,7 +277,12 @@ fn main() {
             RtVariant::ALL.len(),
             settings.accesses
         );
-        Some(SimSweep::run_variants(&settings, &RtVariant::ALL))
+        Some(SimSweep::run_variants_observed(
+            &settings,
+            &RtVariant::ALL,
+            rtm_par::threads(),
+            &obs,
+        ))
     } else {
         None
     };
@@ -294,7 +293,12 @@ fn main() {
             LlcChoice::ALL.len(),
             settings.accesses
         );
-        Some(SimSweep::run_choices(&settings, &LlcChoice::ALL))
+        Some(SimSweep::run_choices_with_threads(
+            &settings,
+            &LlcChoice::ALL,
+            rtm_par::threads(),
+            &obs,
+        ))
     } else {
         None
     };
@@ -313,8 +317,8 @@ fn main() {
             SchedPolicy::ALL.len(),
             s.offered
         );
-        let mut sweep = frontdoor::FrontSweep::run(&s);
-        frontdoor::record_front_labels(&sweep);
+        let mut sweep = frontdoor::FrontSweep::run_with_threads(&s, rtm_par::threads(), &obs);
+        frontdoor::record_front_labels(&sweep, &obs);
         if let Some(p) = opts.policy {
             sweep.cells.retain(|c| c.policy == p);
         }
@@ -347,7 +351,11 @@ fn main() {
             ms.fault_models.len(),
             ms.accesses
         );
-        Some(matrix::SchemeFaultMatrix::run(&ms))
+        Some(matrix::SchemeFaultMatrix::run_with_threads(
+            &ms,
+            rtm_par::threads(),
+            &obs,
+        ))
     } else {
         None
     };
@@ -369,10 +377,10 @@ fn main() {
         // `--policy` narrows the report to one policy (FCFS rows stay
         // as the comparison baseline); the sweep itself always runs the
         // full matrix so the summary has its reference points.
-        let mut sweep = serving::ServeSweep::run(&s);
+        let mut sweep = serving::ServeSweep::run_with_threads(&s, rtm_par::threads(), &obs);
         // Labeled metrics cover the full matrix even when `--policy`
         // narrows the printed report.
-        serving::record_serving_labels(&sweep);
+        serving::record_serving_labels(&sweep, &obs);
         if let Some(p) = opts.policy {
             sweep
                 .cells
@@ -460,7 +468,7 @@ fn main() {
 
     section("fig1", &|| motivation::figure1().render());
     section("fig4", &|| {
-        errormodel::figure4_experiment_with_engine(mc_trials, 2015, opts.engine).render()
+        errormodel::figure4_experiment_with_engine(mc_trials, 2015, opts.engine, &obs).render()
     });
     section("table2", &|| errormodel::table2_experiment().render());
     section("fig7", &|| design::figure7_experiment().render());
@@ -492,7 +500,7 @@ fn main() {
         out
     });
     section("fig15", &|| {
-        performance::render_figure15(&performance::figure15_experiment(200))
+        performance::render_figure15(&performance::figure15_experiment(200, &obs))
     });
     section("fig16", &|| {
         let f = performance::figure16_from(choice_sweep.as_ref().expect("sweep ran"), &settings);
@@ -522,7 +530,7 @@ fn main() {
         matrix_result.as_ref().expect("matrix ran").render()
     });
     section("ablation", &|| {
-        ablation::render_ablations_with_engine(mc_trials / 4, 2015, 5.12e9, opts.engine)
+        ablation::render_ablations_with_engine(mc_trials / 4, 2015, 5.12e9, opts.engine, &obs)
     });
     section("serve", &|| {
         if let Some(sweep) = &front_sweep {
@@ -549,30 +557,25 @@ fn main() {
         }
         eprintln!("wrote {}", path.display());
     };
-    if let Some(path) = &opts.metrics {
-        write_json(path, &rtm_obs::global().registry().snapshot().to_json());
+    if let (Some(path), Some(reg)) = (&opts.metrics, obs.metrics()) {
+        write_json(path, &reg.snapshot().to_json());
     }
-    if let Some(path) = &opts.events {
-        let events = rtm_obs::global().trace().snapshot();
-        let spans = rtm_obs::global().spans().snapshot();
+    if let (Some(path), Some(trace)) = (&opts.events, obs.trace()) {
+        let t = trace.snapshot();
         eprintln!(
             "events: {} recorded, {} dropped; spans: {} recorded, {} dropped",
-            events.events.len(),
-            events.dropped,
-            spans.spans.len(),
-            spans.dropped
+            t.events.len(),
+            t.dropped,
+            t.spans.spans.len(),
+            t.spans.dropped
         );
-        if events.dropped > 0 || spans.dropped > 0 {
+        if t.dropped > 0 || t.spans.dropped > 0 {
             eprintln!("  (ring capacity exceeded; oldest entries evicted first)");
         }
-        let mut doc = events.to_json();
-        if let rtm_obs::json::Json::Obj(pairs) = &mut doc {
-            pairs.push(("spans".to_string(), spans.to_json()));
-        }
-        write_json(path, &doc);
+        write_json(path, &t.to_json());
     }
-    if let Some(path) = &opts.labels {
-        write_json(path, &rtm_obs::global().labeled().snapshot().to_json());
+    if let (Some(path), Some(reg)) = (&opts.labels, obs.labels()) {
+        write_json(path, &reg.labeled_snapshot().to_json());
     }
 
     if shown == 0 {

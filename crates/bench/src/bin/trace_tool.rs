@@ -19,6 +19,7 @@
 //! them.
 
 use rtm_mem::hierarchy::{Hierarchy, LlcChoice};
+use rtm_obs::Obs;
 use rtm_serve::{SchedPolicy, ServeConfig, ServeSim};
 use rtm_trace::replay::{read_trace, write_trace};
 use rtm_trace::{TraceGenerator, WorkloadProfile};
@@ -59,6 +60,7 @@ fn main() {
     let mut metrics: Option<std::path::PathBuf> = None;
     let mut events: Option<std::path::PathBuf> = None;
     let mut queue_events: Option<std::path::PathBuf> = None;
+    let mut progress = false;
     // Peel leading observability flags off before subcommand dispatch.
     while let Some(flag) = args.first().map(String::as_str) {
         match flag {
@@ -75,22 +77,16 @@ fn main() {
                 }
             }
             "--progress" => {
-                rtm_obs::set_progress(true);
+                progress = true;
                 args.remove(0);
             }
             _ => break,
         }
     }
-    if metrics.is_some() {
-        rtm_obs::global().registry().set_enabled(true);
-    }
-    if events.is_some() || queue_events.is_some() {
-        rtm_obs::global().trace().set_enabled(true);
-    }
-    if events.is_some() {
-        // Spans ride along in the events dump under a "spans" key.
-        rtm_obs::global().spans().set_enabled(true);
-    }
+    let obs = Obs::default()
+        .with_metrics(metrics.is_some())
+        .with_trace(events.is_some() || queue_events.is_some())
+        .with_progress(progress);
     match args.first().map(String::as_str) {
         Some("record") if args.len() >= 4 => {
             let Some(profile) = WorkloadProfile::by_name(&args[1]) else {
@@ -155,9 +151,9 @@ fn main() {
                 eprintln!("read failed: {e}");
                 std::process::exit(2);
             });
-            let mut sys = Hierarchy::new(choice);
+            let mut sys = Hierarchy::new(choice, obs.clone());
             let r = sys.run_trace(&accesses);
-            r.record_metrics();
+            r.record_metrics(&obs);
             println!("llc:           {choice}");
             println!("cycles:        {}", r.cycles);
             println!("llc miss rate: {:.2}%", r.llc.cache.miss_rate() * 100.0);
@@ -190,7 +186,7 @@ fn main() {
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(accesses.len() as u64);
             let cfg = ServeConfig::new(policy).with_requests(n.min(accesses.len() as u64));
-            let r = ServeSim::new(cfg).run(&mut accesses.into_iter());
+            let r = ServeSim::observed(cfg, obs.clone()).run(&mut accesses.into_iter());
             println!("policy:        {policy}");
             println!("requests:      {}", r.requests);
             println!("cycles:        {}", r.cycles);
@@ -223,28 +219,22 @@ fn main() {
         }
         eprintln!("wrote {}", path.display());
     };
-    if let Some(path) = &metrics {
-        write_json(path, &rtm_obs::global().registry().snapshot().to_json());
+    if let (Some(path), Some(reg)) = (&metrics, obs.metrics()) {
+        write_json(path, &reg.snapshot().to_json());
     }
-    if let Some(path) = &events {
-        let ev = rtm_obs::global().trace().snapshot();
-        let spans = rtm_obs::global().spans().snapshot();
+    let trace = obs.trace().map(|t| t.snapshot());
+    if let (Some(path), Some(t)) = (&events, &trace) {
         eprintln!(
             "events: {} recorded, {} dropped; spans: {} recorded, {} dropped",
-            ev.events.len(),
-            ev.dropped,
-            spans.spans.len(),
-            spans.dropped
+            t.events.len(),
+            t.dropped,
+            t.spans.spans.len(),
+            t.spans.dropped
         );
-        let mut doc = ev.to_json();
-        if let rtm_obs::json::Json::Obj(pairs) = &mut doc {
-            pairs.push(("spans".to_string(), spans.to_json()));
-        }
-        write_json(path, &doc);
+        write_json(path, &t.to_json());
     }
-    if let Some(path) = &queue_events {
-        let csv = rtm_obs::global().trace().snapshot().queue_csv();
-        if let Err(e) = std::fs::write(path, csv) {
+    if let (Some(path), Some(t)) = (&queue_events, &trace) {
+        if let Err(e) = std::fs::write(path, t.queue_csv()) {
             eprintln!("error: cannot write {}: {e}", path.display());
             std::process::exit(2);
         }

@@ -15,7 +15,8 @@ use crate::safety::SafetyBudget;
 use crate::sequence::{SequenceTable, PECC_CHECK_CYCLES};
 use rtm_model::rates::MAX_TABULATED_DISTANCE;
 use rtm_model::sts::StsTiming;
-use rtm_obs::events::{PeccOutcome, ShiftEvent};
+use rtm_obs::trace::{current_parent, PeccOutcome, ShiftEvent};
+use rtm_obs::Obs;
 use rtm_pecc::code::Verdict;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_util::units::Cycles;
@@ -106,22 +107,16 @@ pub struct ControllerStats {
 }
 
 impl ControllerStats {
-    /// This stats block as an [`rtm_obs`] registry snapshot, under
-    /// `controller.*` metric names (counts as counters, accumulated
-    /// probabilities as gauges).
-    pub fn to_metrics(&self) -> rtm_obs::metrics::RegistrySnapshot {
-        let reg = rtm_obs::metrics::MetricsRegistry::new();
-        reg.set_enabled(true);
-        reg.counter_add("controller.requests", self.requests);
-        reg.counter_add("controller.operations", self.operations);
-        reg.counter_add("controller.steps", self.steps);
-        reg.counter_add("controller.shift_cycles", self.shift_cycles);
-        reg.counter_add("controller.checks", self.checks);
-        reg.counter_add("controller.batched_requests", self.batched_requests);
-        reg.counter_add("controller.batch_saved_cycles", self.batch_saved_cycles);
-        reg.gauge_set("controller.expected_dues", self.expected_dues);
-        reg.gauge_set("controller.expected_sdcs", self.expected_sdcs);
-        reg.snapshot()
+    /// Folds the shift counts this block carries into `obs` once, when
+    /// a run ends: `shift.operations`, `shift.steps` and `pecc.checks`
+    /// (the transaction-level metrics are recorded as the controller
+    /// plans, see [`ShiftController::with_obs`]).
+    pub fn record(&self, obs: &Obs) {
+        if let Some(reg) = obs.metrics() {
+            reg.fold_count("shift.operations", self.operations);
+            reg.fold_count("shift.steps", self.steps);
+            reg.fold_count("pecc.checks", self.checks);
+        }
     }
 }
 
@@ -136,6 +131,8 @@ pub struct ShiftController {
     stats: ControllerStats,
     /// Cycle timestamp of the previous shift request (for the adapter).
     last_shift_at: Option<u64>,
+    /// The run's observer (records nothing by default).
+    obs: Obs,
 }
 
 impl ShiftController {
@@ -176,7 +173,15 @@ impl ShiftController {
             table,
             stats: ControllerStats::default(),
             last_shift_at: None,
+            obs: Obs::default(),
         }
+    }
+
+    /// Records this controller's transactions into `obs` (builder
+    /// style).
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// The protection scheme in force.
@@ -294,19 +299,17 @@ impl ShiftController {
         plan
     }
 
-    /// Emits the transaction into the global observer. No-ops (one
-    /// relaxed atomic load each) when metrics/tracing are disabled.
-    /// `fused` marks a batch continuation, whose *first* pulse is the
-    /// stage-1-only continuation pulse — the span/trace walk shortens
-    /// that pulse so children still tile the plan's latency exactly.
+    /// Emits the transaction into the run's observer: the per-plan
+    /// count, histograms and split/batch counters, the `plan_shift`
+    /// span tree and the instant events. Operations, steps and p-ECC
+    /// checks are not counted here: the run folds them once from its
+    /// result. `fused` marks a batch continuation, whose *first* pulse
+    /// is the stage-1-only continuation pulse — the span/event walk
+    /// shortens that pulse so children still tile the plan's latency
+    /// exactly.
     fn record_observability(&self, distance: u32, plan: &ShiftPlan, now_cycles: u64, fused: bool) {
-        let obs = rtm_obs::global();
-        let reg = obs.registry();
-        if reg.enabled() {
+        if let Some(reg) = self.obs.metrics() {
             reg.counter_add("shift.count", 1);
-            reg.counter_add("shift.operations", plan.sequence.len() as u64);
-            reg.counter_add("shift.steps", distance as u64);
-            reg.counter_add("pecc.checks", plan.checks as u64);
             if plan.sequence.len() > 1 {
                 reg.counter_add("shift.split.count", 1);
             }
@@ -324,6 +327,9 @@ impl ShiftController {
                 &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 16.0, 32.0, 64.0],
             );
         }
+        let Some(trace) = self.obs.trace() else {
+            return;
+        };
         let protected = plan.checks > 0;
         let pulse_cycles = |idx: usize, d: u32| {
             if fused && idx == 0 {
@@ -332,75 +338,58 @@ impl ShiftController {
                 self.timing.shift_cycles(d).count()
             }
         };
-        let spans = obs.spans();
-        if spans.enabled() {
-            // The whole transaction nests under whatever span the
-            // caller entered (a serving-layer dispatch, or nothing for
-            // standalone runs), then unfolds into its pulse/check
-            // sequence using the same walk the event trace performs.
-            let plan_span = spans.record(
-                rtm_obs::span::current_parent(),
-                "plan_shift",
+        // The whole transaction nests under whatever span the caller
+        // entered (a serving-layer dispatch, or nothing for standalone
+        // runs), then unfolds into its pulse/check sequence.
+        let plan_span = trace.record_span(
+            current_parent(),
+            "plan_shift",
+            now_cycles,
+            now_cycles + plan.latency.count(),
+        );
+        let parts = plan.sequence.len() as u32;
+        trace.record_event(
+            now_cycles,
+            ShiftEvent::ShiftPlanned {
+                distance,
+                parts,
+                latency_cycles: plan.latency.count(),
+            },
+        );
+        if parts > 1 {
+            let cap = plan.sequence.iter().copied().max().unwrap_or(distance);
+            trace.record_event(
                 now_cycles,
-                now_cycles + plan.latency.count(),
-            );
-            let mut t = now_cycles;
-            for (i, &d) in plan.sequence.iter().enumerate() {
-                let cycles = pulse_cycles(i, d);
-                spans.record(plan_span, "sts_pulse", t, t + cycles);
-                t += cycles;
-                if protected {
-                    spans.record(plan_span, "pecc_verify", t, t + PECC_CHECK_CYCLES);
-                    t += PECC_CHECK_CYCLES;
-                }
-            }
-        }
-        let trace = obs.trace();
-        if trace.enabled() {
-            let parts = plan.sequence.len() as u32;
-            trace.record(
-                now_cycles,
-                ShiftEvent::ShiftPlanned {
+                ShiftEvent::SafeDistanceSplit {
                     distance,
+                    cap,
                     parts,
-                    latency_cycles: plan.latency.count(),
                 },
             );
-            if parts > 1 {
-                let cap = plan.sequence.iter().copied().max().unwrap_or(distance);
-                trace.record(
-                    now_cycles,
-                    ShiftEvent::SafeDistanceSplit {
-                        distance,
-                        cap,
-                        parts,
-                    },
-                );
-            }
-            // The statistical controller does not sample faults, so
-            // every planned check lands clean here; sampled
-            // corrected/uncorrectable verdicts come from the
-            // bit-accurate injection layer.
-            let mut t = now_cycles;
-            for (i, &d) in plan.sequence.iter().enumerate() {
-                let cycles = pulse_cycles(i, d);
-                trace.record(
+        }
+        // The statistical controller does not sample faults, so every
+        // planned check lands clean here.
+        let mut t = now_cycles;
+        for (i, &d) in plan.sequence.iter().enumerate() {
+            let cycles = pulse_cycles(i, d);
+            trace.record_span(plan_span, "sts_pulse", t, t + cycles);
+            trace.record_event(
+                t,
+                ShiftEvent::StsPulse {
+                    distance: d,
+                    cycles,
+                },
+            );
+            t += cycles;
+            if protected {
+                trace.record_span(plan_span, "pecc_verify", t, t + PECC_CHECK_CYCLES);
+                t += PECC_CHECK_CYCLES;
+                trace.record_event(
                     t,
-                    ShiftEvent::StsPulse {
-                        distance: d,
-                        cycles,
+                    ShiftEvent::PeccVerdict {
+                        outcome: PeccOutcome::Clean,
                     },
                 );
-                t += cycles;
-                if protected {
-                    t += PECC_CHECK_CYCLES;
-                    trace.record(
-                        t,
-                        ShiftEvent::PeccVerdict {
-                            outcome: PeccOutcome::Clean,
-                        },
-                    );
-                }
             }
         }
     }
@@ -711,16 +700,11 @@ mod tests {
 
     #[test]
     fn plan_spans_tile_the_transaction_exactly() {
-        // The span trace is process-global; this is the only test in
-        // the crate that enables it, and it scopes its assertions to
-        // the one plan_shift span it creates.
-        let spans = rtm_obs::global().spans();
-        spans.reset();
-        spans.set_enabled(true);
-        let mut ctl = ShiftController::new(ProtectionKind::SECDED_O, ShiftPolicy::StepByStep);
+        let obs = Obs::default().with_trace(true);
+        let mut ctl = ShiftController::new(ProtectionKind::SECDED_O, ShiftPolicy::StepByStep)
+            .with_obs(obs.clone());
         let plan = ctl.plan_shift(5, 1_000);
-        spans.set_enabled(false);
-        let snap = spans.snapshot();
+        let snap = obs.trace().unwrap().snapshot().spans;
         let plan_span = snap
             .spans
             .iter()
@@ -740,15 +724,12 @@ mod tests {
             .map(|c| c.duration())
             .sum();
         assert_eq!(verify_sum, plan.checks as u64 * PECC_CHECK_CYCLES);
-        spans.reset();
 
         // Fused continuations must tile too: the first pulse span is
         // the stage-1-only continuation pulse, so children still sum
         // to the (shorter) plan latency with zero self time.
-        spans.set_enabled(true);
         let fused = ctl.plan_shift_continuation(5, 2_000);
-        spans.set_enabled(false);
-        let snap = spans.snapshot();
+        let snap = obs.trace().unwrap().snapshot().spans;
         let fused_span = snap
             .spans
             .iter()
@@ -759,6 +740,5 @@ mod tests {
         let child_sum: u64 = children.iter().map(|c| c.duration()).sum();
         assert_eq!(child_sum, fused.latency.count());
         assert_eq!(snap.self_cycles(fused_span), 0);
-        spans.reset();
     }
 }

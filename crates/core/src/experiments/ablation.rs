@@ -22,6 +22,7 @@ use rtm_model::params::DeviceParams;
 use rtm_model::pdfcache::position_pdf_cached_engine;
 use rtm_model::rates::OutOfStepRates;
 use rtm_model::shift::NoiseModel;
+use rtm_obs::Obs;
 use rtm_pecc::layout::{PeccLayout, ProtectionKind};
 use rtm_reliability::accounting::{ReliabilityReport, ShiftMix};
 use rtm_track::geometry::StripeGeometry;
@@ -150,19 +151,24 @@ pub struct StsRow {
 /// Quantifies the STS error-class conversion for 1-, 4- and 7-step
 /// shifts via Monte-Carlo plus analytic tails.
 pub fn sts_conversion(trials: u64, seed: u64) -> Vec<StsRow> {
-    sts_conversion_with_engine(trials, seed, Engine::MonteCarlo)
+    sts_conversion_with_engine(trials, seed, Engine::MonteCarlo, &Obs::default())
 }
 
 /// [`sts_conversion`] from the requested position-error engine. With
 /// [`Engine::Analytic`] the bin masses come from exact erf bands and
-/// `trials`/`seed` are ignored.
-pub fn sts_conversion_with_engine(trials: u64, seed: u64, engine: Engine) -> Vec<StsRow> {
+/// `trials`/`seed` are ignored. The PDF runs record into `obs`.
+pub fn sts_conversion_with_engine(
+    trials: u64,
+    seed: u64,
+    engine: Engine,
+    obs: &Obs,
+) -> Vec<StsRow> {
     let params = DeviceParams::table1();
     let rates = OutOfStepRates::paper_calibration();
     [1u32, 4, 7]
         .iter()
         .map(|&d| {
-            let pdf = position_pdf_cached_engine(&params, d, trials, seed + d as u64, engine);
+            let pdf = position_pdf_cached_engine(&params, d, trials, seed + d as u64, engine, obs);
             StsRow {
                 distance: d,
                 raw_stop_in_middle: pdf.stop_in_middle_probability(),
@@ -215,15 +221,17 @@ pub struct HeadPolicyRow {
 
 /// Compares the paper's stay-in-place head policy against idle
 /// return-to-centre (the head-management direction of the prior work
-/// the paper cites) on a way-scanning probe pattern.
-pub fn head_policy_comparison(accesses: u64) -> [HeadPolicyRow; 2] {
+/// the paper cites) on a way-scanning probe pattern. Both LLCs record
+/// into `obs`.
+pub fn head_policy_comparison(accesses: u64, obs: &Obs) -> [HeadPolicyRow; 2] {
     use rtm_controller::controller::ShiftPolicy;
     use rtm_mem::cache::AccessKind;
     use rtm_mem::llc::{HeadPolicy, LlcModel, RacetrackLlc};
 
     let run = |policy: HeadPolicy, name: &'static str| {
         let mut llc = RacetrackLlc::new(ProtectionKind::SECDED, ShiftPolicy::Adaptive)
-            .with_head_policy(policy);
+            .with_head_policy(policy)
+            .with_obs(obs.clone());
         let sets = 131_072u64; // the 128 MB LLC's set count
         let stride = sets * 64;
         let mut rng = rtm_util::rng::SmallRng64::new(7);
@@ -233,6 +241,7 @@ pub fn head_policy_comparison(accesses: u64) -> [HeadPolicyRow; 2] {
             t += 200;
             llc.access(way * stride, AccessKind::Read, t);
         }
+        llc.record_metrics();
         let s = llc.stats();
         HeadPolicyRow {
             policy: name,
@@ -248,16 +257,23 @@ pub fn head_policy_comparison(accesses: u64) -> [HeadPolicyRow; 2] {
 
 /// Renders all four ablations as one report.
 pub fn render_ablations(trials: u64, seed: u64, stripe_intensity: f64) -> String {
-    render_ablations_with_engine(trials, seed, stripe_intensity, Engine::MonteCarlo)
+    render_ablations_with_engine(
+        trials,
+        seed,
+        stripe_intensity,
+        Engine::MonteCarlo,
+        &Obs::default(),
+    )
 }
 
 /// [`render_ablations`] with the STS-conversion study driven by the
-/// requested position-error engine.
+/// requested position-error engine, recording into `obs`.
 pub fn render_ablations_with_engine(
     trials: u64,
     seed: u64,
     stripe_intensity: f64,
     engine: Engine,
+    obs: &Obs,
 ) -> String {
     let mut out = String::from("Ablation 1: drive current ratio (4-step shift)\n\n");
     let mut rows = vec![vec![
@@ -317,7 +333,7 @@ pub fn render_ablations_with_engine(
         "raw out-of-step".to_string(),
         "after STS (out-of-step)".to_string(),
     ]];
-    for r in sts_conversion_with_engine(trials, seed, engine) {
+    for r in sts_conversion_with_engine(trials, seed, engine, obs) {
         rows.push(vec![
             r.distance.to_string(),
             format!("{:.2e}", r.raw_stop_in_middle),
@@ -372,7 +388,7 @@ pub fn render_ablations_with_engine(
         "critical-path shift cycles".to_string(),
         "total steps".to_string(),
     ]];
-    for r in head_policy_comparison(2_000) {
+    for r in head_policy_comparison(2_000, obs) {
         rows.push(vec![
             r.policy.to_string(),
             r.shift_cycles.to_string(),
@@ -461,7 +477,7 @@ mod tests {
 
     #[test]
     fn head_policy_trade_is_visible() {
-        let [stay, centre] = head_policy_comparison(1_500);
+        let [stay, centre] = head_policy_comparison(1_500, &Obs::default());
         assert!(centre.shift_cycles < stay.shift_cycles);
         assert!(centre.total_steps > stay.total_steps);
     }
@@ -469,7 +485,7 @@ mod tests {
     #[test]
     fn sts_conversion_analytic_matches_mc() {
         let mc = sts_conversion(400_000, 11);
-        let an = sts_conversion_with_engine(0, 0, Engine::Analytic);
+        let an = sts_conversion_with_engine(0, 0, Engine::Analytic, &Obs::default());
         for (m, a) in mc.iter().zip(an.iter()) {
             assert_eq!(m.distance, a.distance);
             // The shared Table 2 reference column is engine-independent.

@@ -6,6 +6,7 @@ use rtm_model::montecarlo::{figure4_with_engine, PositionPdf};
 use rtm_model::params::DeviceParams;
 use rtm_model::rates::{OutOfStepRates, MAX_TABULATED_DISTANCE};
 use rtm_model::shift::NoiseModel;
+use rtm_obs::Obs;
 
 /// The Fig. 4 experiment output: three position-error PDFs.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,15 +17,20 @@ pub struct Figure4 {
 
 /// Runs the Fig. 4 Monte-Carlo (`trials` samples per panel).
 pub fn figure4_experiment(trials: u64, seed: u64) -> Figure4 {
-    figure4_experiment_with_engine(trials, seed, Engine::MonteCarlo)
+    figure4_experiment_with_engine(trials, seed, Engine::MonteCarlo, &Obs::default())
 }
 
-/// [`figure4_experiment`] from the requested engine: Monte-Carlo
-/// sampling, or the exact closed form (for which `trials`/`seed` are
-/// irrelevant and the panels carry `trials == 0`).
-pub fn figure4_experiment_with_engine(trials: u64, seed: u64, engine: Engine) -> Figure4 {
+/// [`figure4_experiment`] from the requested engine, recording into
+/// `obs`: Monte-Carlo sampling, or the exact closed form (for which
+/// `trials`/`seed` are irrelevant and the panels carry `trials == 0`).
+pub fn figure4_experiment_with_engine(
+    trials: u64,
+    seed: u64,
+    engine: Engine,
+    obs: &Obs,
+) -> Figure4 {
     Figure4 {
-        panels: figure4_with_engine(&DeviceParams::table1(), trials, seed, engine),
+        panels: figure4_with_engine(&DeviceParams::table1(), trials, seed, engine, obs),
     }
 }
 
@@ -180,7 +186,7 @@ mod tests {
     #[test]
     fn figure4_analytic_engine_matches_mc_and_renders() {
         let mc = figure4_experiment(200_000, 3);
-        let an = figure4_experiment_with_engine(0, 0, Engine::Analytic);
+        let an = figure4_experiment_with_engine(0, 0, Engine::Analytic, &Obs::default());
         for (m, a) in mc.panels.iter().zip(an.panels.iter()) {
             assert_eq!(a.trials, 0);
             assert_eq!(m.distance, a.distance);

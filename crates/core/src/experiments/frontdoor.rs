@@ -15,6 +15,7 @@
 
 use super::render_table;
 use rtm_front::{run_front, ClassSpec, FrontConfig, FrontResult};
+use rtm_obs::Obs;
 use rtm_serve::SchedPolicy;
 
 /// Front-door sweep parameters.
@@ -82,21 +83,21 @@ pub struct FrontSweep {
 impl FrontSweep {
     /// Runs the sweep on the process-wide `rtm_par` pool.
     pub fn run(settings: &FrontSettings) -> Self {
-        Self::run_with_threads(settings, rtm_par::threads())
+        Self::run_with_threads(settings, rtm_par::threads(), &Obs::default())
     }
 
-    /// [`Self::run`] with an explicit worker count; results are
-    /// identical for any `threads` value.
-    pub fn run_with_threads(settings: &FrontSettings, threads: usize) -> Self {
+    /// [`Self::run`] with an explicit worker count and every cell's
+    /// serving simulation recording into `obs`; results are identical
+    /// for any `threads` value.
+    pub fn run_with_threads(settings: &FrontSettings, threads: usize, obs: &Obs) -> Self {
         let cfg = settings.config();
         let policies = SchedPolicy::ALL;
-        let progress =
-            rtm_obs::timer::Progress::new("sweep(front)", policies.len() as u64, "cells");
+        let progress = obs.progress("sweep(front)", policies.len() as u64, "cells");
         let sweep = rtm_par::parallel_fold_with(
             threads,
             policies.len(),
             |i| {
-                let r = run_front(&cfg, policies[i]);
+                let r = run_front(&cfg, policies[i], obs.clone());
                 progress.tick(1);
                 r
             },
@@ -207,13 +208,12 @@ pub fn front_csv(sweep: &FrontSweep) -> String {
     super::to_csv(&grid_rows(sweep, true))
 }
 
-/// Publishes each cell's labeled admission counters into the
-/// process-wide [`rtm_obs`] registry (no-op unless labels are
-/// enabled). Called after the sweep so the emission order is the
-/// deterministic policy order regardless of `--threads`.
-pub fn record_front_labels(sweep: &FrontSweep) {
+/// Publishes each cell's labeled admission counters into `obs`
+/// (no-op without a registry). Called after the sweep so the emission
+/// order is the deterministic policy order regardless of `--threads`.
+pub fn record_front_labels(sweep: &FrontSweep, obs: &Obs) {
     for c in &sweep.cells {
-        c.result.record_labels(c.policy.label());
+        c.result.record_labels(c.policy.label(), obs);
     }
 }
 
@@ -244,9 +244,9 @@ mod tests {
     #[test]
     fn sweep_is_thread_count_invariant() {
         let s = tiny();
-        let base = FrontSweep::run_with_threads(&s, 1);
+        let base = FrontSweep::run_with_threads(&s, 1, &Obs::default());
         for threads in [2usize, 8] {
-            let alt = FrontSweep::run_with_threads(&s, threads);
+            let alt = FrontSweep::run_with_threads(&s, threads, &Obs::default());
             assert_eq!(base, alt, "threads={threads}");
         }
     }
@@ -272,9 +272,9 @@ mod tests {
                 offered: g.u64_in(800, 2_000),
                 seed: g.u64(),
             };
-            let base = FrontSweep::run_with_threads(&s, 1);
+            let base = FrontSweep::run_with_threads(&s, 1, &Obs::default());
             for threads in [2usize, 8] {
-                let alt = FrontSweep::run_with_threads(&s, threads);
+                let alt = FrontSweep::run_with_threads(&s, threads, &Obs::default());
                 assert_eq!(base, alt, "threads={threads} settings={s:?}");
             }
         });
@@ -297,13 +297,9 @@ mod tests {
     #[test]
     fn labeled_emission_covers_the_grid_when_enabled() {
         let sweep = FrontSweep::run(&tiny());
-        let labels = rtm_obs::global().labeled();
-        labels.reset();
-        labels.set_enabled(true);
-        record_front_labels(&sweep);
-        let snap = labels.snapshot();
-        labels.set_enabled(false);
-        labels.reset();
+        let obs = Obs::default().with_labels(true);
+        record_front_labels(&sweep, &obs);
+        let snap = obs.labels().unwrap().labeled_snapshot();
         assert_eq!(
             snap.series("front.admitted").len(),
             sweep.cells.len() * SloClass::ALL.len()

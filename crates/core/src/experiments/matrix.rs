@@ -12,9 +12,10 @@
 //! * **cost** — the Table 5 row for the scheme (detection energy and
 //!   cell overhead), including the derived rows for the stream codecs;
 //! * **sampled behaviour** — one short trace-driven simulation per cell
-//!   through [`Hierarchy::with_racetrack_faults`], tallying how many
-//!   concrete shift outcomes the fault model drew and how many were
-//!   position errors.
+//!   through a sampled racetrack hierarchy
+//!   ([`rtm_mem::hierarchy::Hierarchy::racetrack`]),
+//!   tallying how many concrete shift outcomes the fault model drew and
+//!   how many were position errors.
 //!
 //! Cells are independent, so the grid fans out across the `rtm-par`
 //! pool; sampling seeds derive from the settings seed and the cell's
@@ -26,6 +27,7 @@ use rtm_controller::safety::SafetyBudget;
 use rtm_cost::overhead::{ProtectionOverhead, Scheme};
 use rtm_mem::hierarchy::Hierarchy;
 use rtm_model::analytic::Engine;
+use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_reliability::accounting::{ReliabilityReport, ShiftMix};
 use rtm_trace::{TraceGenerator, WorkloadProfile};
@@ -234,12 +236,14 @@ pub struct SchemeFaultMatrix {
 impl SchemeFaultMatrix {
     /// Runs the matrix on the process-wide `rtm_par` pool.
     pub fn run(settings: &MatrixSettings) -> Self {
-        Self::run_with_threads(settings, rtm_par::threads())
+        Self::run_with_threads(settings, rtm_par::threads(), &Obs::default())
     }
 
-    /// [`Self::run`] with an explicit worker count; results are
-    /// bit-identical for any `threads` value.
-    pub fn run_with_threads(settings: &MatrixSettings, threads: usize) -> Self {
+    /// [`Self::run`] with an explicit worker count, recording into
+    /// `obs`: each cell's sampled hierarchy records into it, and its
+    /// result is folded in grid order. Results are bit-identical for
+    /// any `threads` value.
+    pub fn run_with_threads(settings: &MatrixSettings, threads: usize, obs: &Obs) -> Self {
         let profile = WorkloadProfile::by_name(settings.workload)
             .unwrap_or_else(|| panic!("unknown workload {:?}", settings.workload));
         let cells: Vec<(SchemeChoice, FaultModelChoice)> = settings
@@ -247,7 +251,7 @@ impl SchemeFaultMatrix {
             .iter()
             .flat_map(|&s| settings.fault_models.iter().map(move |&f| (s, f)))
             .collect();
-        let progress = rtm_obs::timer::Progress::new("matrix", cells.len() as u64, "cells");
+        let progress = obs.progress("matrix", cells.len() as u64, "cells");
         let matrix = rtm_par::parallel_fold_with(
             threads,
             cells.len(),
@@ -258,13 +262,9 @@ impl SchemeFaultMatrix {
                 // the chosen fault process drawing every shift outcome.
                 // The seed is fixed by the grid index, so the cell is
                 // independent of worker scheduling.
-                let mut sys = Hierarchy::with_racetrack_faults(
-                    kind,
-                    policy,
-                    fault_model,
-                    settings.engine,
-                    rtm_util::rng::derive_seed(settings.seed, 0x3A78_0000 + i as u64),
-                );
+                let seed = rtm_util::rng::derive_seed(settings.seed, 0x3A78_0000 + i as u64);
+                let sampling = Some((fault_model, settings.engine, seed));
+                let mut sys = Hierarchy::racetrack(kind, policy, sampling, obs.clone());
                 let mut gen = TraceGenerator::new(
                     profile,
                     rtm_util::rng::derive_seed(settings.seed, 0x3A78_8000),
@@ -275,6 +275,7 @@ impl SchemeFaultMatrix {
             },
             Self::default(),
             |matrix, i, r| {
+                r.record_metrics(obs);
                 let (scheme, fault_model) = cells[i];
                 let (kind, _) = scheme.parts();
                 // Analytic view: the scheme's own shift mix against the
@@ -396,9 +397,9 @@ mod tests {
             SchemeChoice::Pecc,
             SchemeChoice::Vahid2di,
         ];
-        let base = SchemeFaultMatrix::run_with_threads(&s, 1);
+        let base = SchemeFaultMatrix::run_with_threads(&s, 1, &Obs::default());
         for threads in [2usize, 8] {
-            let alt = SchemeFaultMatrix::run_with_threads(&s, threads);
+            let alt = SchemeFaultMatrix::run_with_threads(&s, threads, &Obs::default());
             assert_eq!(base, alt, "threads={threads}");
         }
     }

@@ -8,6 +8,7 @@ use rtm_mem::hierarchy::LlcChoice;
 use rtm_model::rates::OutOfStepRates;
 use rtm_model::sts::StsTiming;
 use rtm_obs::attrib::AttributionTable;
+use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use std::collections::BTreeMap;
 
@@ -151,8 +152,9 @@ pub struct Figure15Row {
 
 /// Runs the Fig. 15 sensitivity sweep analytically: uniform request
 /// distances over `[1, Lseg − 1]`, a moderately busy request interval,
-/// and the per-scheme planning rules.
-pub fn figure15_experiment(interval_cycles: u64) -> Vec<Figure15Row> {
+/// and the per-scheme planning rules. Each planning controller records
+/// into `obs`, and its counts are folded in when its row is done.
+pub fn figure15_experiment(interval_cycles: u64, obs: &Obs) -> Vec<Figure15Row> {
     let timing = StsTiming::paper();
     SEGMENT_CONFIGS
         .iter()
@@ -172,7 +174,8 @@ pub fn figure15_experiment(interval_cycles: u64) -> Vec<Figure15Row> {
                     rtm_controller::safety::PAPER_RELIABILITY_TARGET,
                     kind.strength(),
                 );
-                let mut ctl = ShiftController::with_parts(kind, policy, timing, budget, max_d);
+                let mut ctl = ShiftController::with_parts(kind, policy, timing, budget, max_d)
+                    .with_obs(obs.clone());
                 let base = {
                     let bare = ShiftController::with_parts(
                         ProtectionKind::None,
@@ -192,6 +195,7 @@ pub fn figure15_experiment(interval_cycles: u64) -> Vec<Figure15Row> {
                     let plan = ctl.plan_shift(d, (d as u64) * interval_cycles);
                     total += plan.latency.count() as f64;
                 }
+                ctl.stats().record(obs);
                 (total / max_d as f64) / base
             };
             Figure15Row {
@@ -343,7 +347,7 @@ mod tests {
 
     #[test]
     fn figure15_adaptive_wins_at_long_segments() {
-        let rows = figure15_experiment(200);
+        let rows = figure15_experiment(200, &Obs::default());
         let long = rows.iter().find(|r| r.config == "2x64").unwrap();
         let (a, o) = (long.pecc_s_adaptive.unwrap(), long.pecc_o.unwrap());
         assert!(a < o, "adaptive {a} vs O {o} at Lseg=64");

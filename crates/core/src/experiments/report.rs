@@ -6,6 +6,7 @@ use super::performance::{figure14_from, figure16_from, protection_overhead_summa
 use super::reliability_exp::{figure10_from, figure11_from};
 use super::sweep::{RtVariant, SimSweep, SweepSettings};
 use rtm_mem::hierarchy::LlcChoice;
+use rtm_obs::Obs;
 use rtm_util::units::format_mttf;
 
 /// One checked claim: the paper's number next to ours.
@@ -62,10 +63,12 @@ impl Report {
     }
 }
 
-/// Runs both simulation sweeps and distils the paper's headline claims.
-pub fn live_report(settings: &SweepSettings) -> Report {
-    let variant_sweep = SimSweep::run_variants(settings, &RtVariant::ALL);
-    let choice_sweep = SimSweep::run_choices(settings, &LlcChoice::ALL);
+/// Runs both simulation sweeps, recording into `obs`, and distils the
+/// paper's headline claims.
+pub fn live_report(settings: &SweepSettings, obs: &Obs) -> Report {
+    let threads = rtm_par::threads();
+    let variant_sweep = SimSweep::run_variants_observed(settings, &RtVariant::ALL, threads, obs);
+    let choice_sweep = SimSweep::run_choices_with_threads(settings, &LlcChoice::ALL, threads, obs);
 
     let fig10 = figure10_from(&variant_sweep, settings);
     let fig11 = figure11_from(&variant_sweep, settings);
@@ -165,7 +168,7 @@ mod tests {
     fn quick_report_holds_every_claim() {
         let mut s = SweepSettings::quick();
         s.accesses = 40_000;
-        let report = live_report(&s);
+        let report = live_report(&s, &Obs::default());
         assert_eq!(report.claims.len(), 8);
         for c in &report.claims {
             assert!(

@@ -18,6 +18,7 @@
 use super::render_table;
 use rtm_controller::controller::ShiftPolicy;
 use rtm_obs::attrib::AttributionTable;
+use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_serve::{SchedPolicy, ServeConfig, ServeResult, ServeSim, ATTRIBUTION_COMPONENTS};
 use rtm_trace::{MixedTraceGenerator, WorkloadProfile};
@@ -130,12 +131,13 @@ pub struct ServeSweep {
 impl ServeSweep {
     /// Runs the sweep on the process-wide `rtm_par` pool.
     pub fn run(settings: &ServeSettings) -> Self {
-        Self::run_with_threads(settings, rtm_par::threads())
+        Self::run_with_threads(settings, rtm_par::threads(), &Obs::default())
     }
 
-    /// [`Self::run`] with an explicit worker count; results are
-    /// identical for any `threads` value.
-    pub fn run_with_threads(settings: &ServeSettings, threads: usize) -> Self {
+    /// [`Self::run`] with an explicit worker count and every cell's
+    /// [`ServeSim`] recording into `obs`; results are identical for any
+    /// `threads` value.
+    pub fn run_with_threads(settings: &ServeSettings, threads: usize, obs: &Obs) -> Self {
         let profiles = settings.profiles();
         let cells: Vec<(WorkloadProfile, usize, SchedPolicy)> = profiles
             .iter()
@@ -144,7 +146,7 @@ impl ServeSweep {
                     .flat_map(move |s| SchedPolicy::ALL.into_iter().map(move |pol| (p, s, pol)))
             })
             .collect();
-        let progress = rtm_obs::timer::Progress::new("sweep(serve)", cells.len() as u64, "cells");
+        let progress = obs.progress("sweep(serve)", cells.len() as u64, "cells");
         // Streaming fold: cells land in the sweep in strict grid order
         // as soon as their predecessors have arrived, without a second
         // results Vec alongside the grid.
@@ -153,7 +155,7 @@ impl ServeSweep {
             cells.len(),
             |i| {
                 let (p, s, pol) = cells[i];
-                let r = run_cell(settings, p, s, pol);
+                let r = run_cell(settings, p, s, pol, obs);
                 progress.tick(1);
                 r
             },
@@ -185,6 +187,7 @@ fn run_cell(
     p: WorkloadProfile,
     scheme: usize,
     policy: SchedPolicy,
+    obs: &Obs,
 ) -> ServeResult {
     let (_, protection, shift_policy) = SCHEMES[scheme];
     let seed = rtm_util::rng::derive_seed(settings.seed, seed_of(p.name));
@@ -193,7 +196,7 @@ fn run_cell(
         .with_scheme(protection, shift_policy)
         .with_starve_limit(settings.starve_limit)
         .with_requests(settings.requests);
-    ServeSim::new(cfg).run(&mut mix)
+    ServeSim::observed(cfg, obs.clone()).run(&mut mix)
 }
 
 fn seed_of(name: &str) -> u64 {
@@ -301,15 +304,13 @@ pub fn render_serving_attribution(table: &AttributionTable) -> String {
     out
 }
 
-/// Publishes one labeled sample set per cell into the process-wide
-/// [`rtm_obs`] labeled registry (no-op unless labels are enabled).
-/// Called after the sweep so the emission order is the deterministic
-/// grid order regardless of `--threads`.
-pub fn record_serving_labels(sweep: &ServeSweep) {
-    let labels = rtm_obs::global().labeled();
-    if !labels.enabled() {
+/// Publishes one labeled sample set per cell into `obs` (no-op unless
+/// `obs` records labeled metrics). Called after the sweep so the emission order
+/// is the deterministic grid order regardless of `--threads`.
+pub fn record_serving_labels(sweep: &ServeSweep, obs: &Obs) {
+    let Some(labels) = obs.labels() else {
         return;
-    }
+    };
     for c in &sweep.cells {
         let policy = c.policy.to_string();
         let cell = [
@@ -318,11 +319,11 @@ pub fn record_serving_labels(sweep: &ServeSweep) {
             ("policy", policy.as_str()),
         ];
         let r = &c.result;
-        labels.counter_add_with("serve.requests", &cell, r.requests);
-        labels.counter_add_with("serve.cycles", &cell, r.cycles);
-        labels.counter_add_with("serve.shift_cycles", &cell, r.llc.shift_cycles);
-        labels.counter_add_with("serve.verify_cycles", &cell, r.llc.verify_cycles);
-        labels.gauge_set_with(
+        labels.counter_add_labeled("serve.requests", &cell, r.requests);
+        labels.counter_add_labeled("serve.cycles", &cell, r.cycles);
+        labels.counter_add_labeled("serve.shift_cycles", &cell, r.llc.shift_cycles);
+        labels.counter_add_labeled("serve.verify_cycles", &cell, r.llc.verify_cycles);
+        labels.gauge_set_labeled(
             "serve.throughput_req_per_kcycle",
             &cell,
             r.throughput_req_per_kcycle(),
@@ -336,7 +337,7 @@ pub fn record_serving_labels(sweep: &ServeSweep) {
                 ("policy", policy.as_str()),
                 ("tenant", tenant),
             ];
-            labels.counter_add_with("serve.tenant_cycles", &who, tcell.total);
+            labels.counter_add_labeled("serve.tenant_cycles", &who, tcell.total);
         }
         for (bank, &busy) in r.bank_busy_cycles.iter().enumerate() {
             let bank = bank.to_string();
@@ -346,7 +347,7 @@ pub fn record_serving_labels(sweep: &ServeSweep) {
                 ("policy", policy.as_str()),
                 ("bank", bank.as_str()),
             ];
-            labels.counter_add_with("serve.bank_busy_cycles", &who, busy);
+            labels.counter_add_labeled("serve.bank_busy_cycles", &who, busy);
         }
     }
 }
@@ -423,9 +424,9 @@ mod tests {
     fn sweep_is_thread_count_invariant() {
         let mut s = tiny();
         s.workloads = Some(vec!["canneal"]);
-        let base = ServeSweep::run_with_threads(&s, 1);
+        let base = ServeSweep::run_with_threads(&s, 1, &Obs::default());
         for threads in [2usize, 8] {
-            let alt = ServeSweep::run_with_threads(&s, threads);
+            let alt = ServeSweep::run_with_threads(&s, threads, &Obs::default());
             assert_eq!(base, alt, "threads={threads}");
         }
     }
@@ -493,8 +494,8 @@ mod tests {
     fn attribution_is_thread_count_invariant() {
         let mut s = tiny();
         s.workloads = Some(vec!["streamcluster"]);
-        let one = serving_attribution(&ServeSweep::run_with_threads(&s, 1));
-        let eight = serving_attribution(&ServeSweep::run_with_threads(&s, 8));
+        let one = serving_attribution(&ServeSweep::run_with_threads(&s, 1, &Obs::default()));
+        let eight = serving_attribution(&ServeSweep::run_with_threads(&s, 8, &Obs::default()));
         assert_eq!(one, eight);
         assert_eq!(one.to_csv(), eight.to_csv());
     }
@@ -504,19 +505,14 @@ mod tests {
         let mut s = tiny();
         s.workloads = Some(vec!["canneal"]);
         let sweep = ServeSweep::run(&s);
-        let labels = rtm_obs::global().labeled();
-        labels.reset();
-        labels.set_enabled(true);
-        record_serving_labels(&sweep);
-        let snap = labels.snapshot();
-        labels.set_enabled(false);
-        labels.reset();
+        let obs = Obs::default().with_labels(true);
+        record_serving_labels(&sweep, &obs);
+        let snap = obs.labels().unwrap().labeled_snapshot();
         assert_eq!(snap.series("serve.requests").len(), sweep.cells.len());
         let probe = sweep.cells[0].policy.to_string();
         assert_eq!(
             snap.counter(
                 "serve.requests",
-                // Snapshot lookups take the pairs in sorted key order.
                 &[
                     ("policy", probe.as_str()),
                     ("scheme", sweep.cells[0].scheme),

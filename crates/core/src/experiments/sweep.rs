@@ -13,6 +13,7 @@
 
 use rtm_controller::controller::ShiftPolicy;
 use rtm_mem::hierarchy::{Hierarchy, LlcChoice, SimResult};
+use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{TraceGenerator, WorkloadProfile};
 use rtm_track::fault::FaultModelChoice;
@@ -155,41 +156,42 @@ pub struct SimSweep {
     pub by_choice: BTreeMap<&'static str, BTreeMap<String, SimResult>>,
     /// Per-workload results for racetrack variants (Figs. 10/11/14).
     pub by_variant: BTreeMap<&'static str, BTreeMap<String, SimResult>>,
-    /// Copy of the global metrics registry taken when the sweep
-    /// finished (empty unless observability was switched on).
-    pub obs: rtm_obs::metrics::RegistrySnapshot,
 }
 
 impl SimSweep {
     /// Runs every workload against the named LLC choices on the
     /// process-wide `rtm_par` pool.
     pub fn run_choices(settings: &SweepSettings, choices: &[LlcChoice]) -> Self {
-        Self::run_choices_with_threads(settings, choices, rtm_par::threads())
+        Self::run_choices_with_threads(settings, choices, rtm_par::threads(), &Obs::default())
     }
 
-    /// [`Self::run_choices`] with an explicit worker count; results
-    /// are identical for any `threads` value.
+    /// [`Self::run_choices`] with an explicit worker count, recording
+    /// into `obs`: every cell's hierarchy records into it while
+    /// running, and each cell's result is folded in
+    /// ([`SimResult::record_metrics`]) in grid order after it arrives.
+    /// Results are identical for any `threads` value.
     pub fn run_choices_with_threads(
         settings: &SweepSettings,
         choices: &[LlcChoice],
         threads: usize,
+        obs: &Obs,
     ) -> Self {
         let profiles = settings.profiles();
         let cells: Vec<(WorkloadProfile, LlcChoice)> = profiles
             .iter()
             .flat_map(|&p| choices.iter().map(move |&c| (p, c)))
             .collect();
-        let progress = rtm_obs::timer::Progress::new("sweep(choices)", cells.len() as u64, "cells");
+        let progress = obs.progress("sweep(choices)", cells.len() as u64, "cells");
         // Streaming fold: each cell's result is folded into the sweep in
         // strict grid order as soon as its predecessors have arrived, so
         // no worker-count-sized Vec of results accumulates and gauges
         // stay deterministic for any `threads` value.
-        let mut sweep = rtm_par::parallel_fold_with(
+        let sweep = rtm_par::parallel_fold_with(
             threads,
             cells.len(),
             |i| {
                 let (p, c) = cells[i];
-                let mut sys = Hierarchy::new(c);
+                let mut sys = Hierarchy::new(c, obs.clone());
                 let mut gen = TraceGenerator::new(
                     p,
                     rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
@@ -201,7 +203,7 @@ impl SimSweep {
             Self::default(),
             |sweep, i, r| {
                 let (p, c) = cells[i];
-                r.record_metrics();
+                r.record_metrics(obs);
                 sweep
                     .by_choice
                     .entry(p.name)
@@ -210,7 +212,6 @@ impl SimSweep {
             },
         );
         progress.finish();
-        sweep.obs = rtm_obs::global().registry().snapshot();
         sweep
     }
 
@@ -227,31 +228,36 @@ impl SimSweep {
         variants: &[RtVariant],
         threads: usize,
     ) -> Self {
+        Self::run_variants_observed(settings, variants, threads, &Obs::default())
+    }
+
+    /// [`Self::run_variants_with_threads`] recording into `obs`, as
+    /// [`Self::run_choices_with_threads`] does.
+    pub fn run_variants_observed(
+        settings: &SweepSettings,
+        variants: &[RtVariant],
+        threads: usize,
+        obs: &Obs,
+    ) -> Self {
         let profiles = settings.profiles();
         let cells: Vec<(WorkloadProfile, RtVariant)> = profiles
             .iter()
             .flat_map(|&p| variants.iter().map(move |&v| (p, v)))
             .collect();
-        let progress =
-            rtm_obs::timer::Progress::new("sweep(variants)", cells.len() as u64, "cells");
-        let mut sweep = rtm_par::parallel_fold_with(
+        let progress = obs.progress("sweep(variants)", cells.len() as u64, "cells");
+        let sweep = rtm_par::parallel_fold_with(
             threads,
             cells.len(),
             |i| {
                 let (p, v) = cells[i];
                 let (kind, policy) = v.parts();
-                let mut sys = match settings.sample_engine {
-                    // Sampling seed from (sweep seed, grid index): fixed by
-                    // the cell layout, independent of worker scheduling.
-                    Some(engine) => Hierarchy::with_racetrack_faults(
-                        kind,
-                        policy,
-                        settings.fault_model,
-                        engine,
-                        rtm_util::rng::derive_seed(settings.seed, 0x5EED_0000 + i as u64),
-                    ),
-                    None => Hierarchy::with_racetrack(kind, policy),
-                };
+                // Sampling seed from (sweep seed, grid index): fixed by
+                // the cell layout, independent of worker scheduling.
+                let sampling = settings.sample_engine.map(|engine| {
+                    let seed = rtm_util::rng::derive_seed(settings.seed, 0x5EED_0000 + i as u64);
+                    (settings.fault_model, engine, seed)
+                });
+                let mut sys = Hierarchy::racetrack(kind, policy, sampling, obs.clone());
                 let mut gen = TraceGenerator::new(
                     p,
                     rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
@@ -263,7 +269,7 @@ impl SimSweep {
             Self::default(),
             |sweep, i, r| {
                 let (p, v) = cells[i];
-                r.record_metrics();
+                r.record_metrics(obs);
                 sweep
                     .by_variant
                     .entry(p.name)
@@ -272,7 +278,6 @@ impl SimSweep {
             },
         );
         progress.finish();
-        sweep.obs = rtm_obs::global().registry().snapshot();
         sweep
     }
 }
@@ -331,9 +336,9 @@ mod tests {
         let mut s = SweepSettings::quick();
         s.accesses = 4_000;
         let choices = [LlcChoice::SramBaseline, LlcChoice::RacetrackIdeal];
-        let base = SimSweep::run_choices_with_threads(&s, &choices, 1);
+        let base = SimSweep::run_choices_with_threads(&s, &choices, 1, &Obs::default());
         for threads in [2usize, 8] {
-            let alt = SimSweep::run_choices_with_threads(&s, &choices, threads);
+            let alt = SimSweep::run_choices_with_threads(&s, &choices, threads, &Obs::default());
             assert_eq!(base.by_choice, alt.by_choice, "threads={threads}");
         }
         let variants = [RtVariant::Baseline, RtVariant::SecdedSafeAdaptive];
@@ -359,7 +364,7 @@ mod tests {
             .collect();
         let results = rtm_par::parallel_map_with(4, cells.len(), |i| {
             let (p, c) = cells[i];
-            let mut sys = Hierarchy::new(c);
+            let mut sys = Hierarchy::new(c, Obs::default());
             let mut gen =
                 TraceGenerator::new(p, rtm_util::rng::derive_seed(s.seed, seed_of(p.name)));
             sys.run(&mut gen, s.accesses)
@@ -372,7 +377,8 @@ mod tests {
                 .insert(c.to_string(), r);
         }
         for threads in [1usize, 2, 8] {
-            let streamed = SimSweep::run_choices_with_threads(&s, &choices, threads);
+            let streamed =
+                SimSweep::run_choices_with_threads(&s, &choices, threads, &Obs::default());
             assert_eq!(streamed.by_choice, collected, "threads={threads}");
         }
     }

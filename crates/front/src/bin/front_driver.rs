@@ -16,6 +16,7 @@ use rtm_front::class::ClassSpec;
 use rtm_front::door::{run_front, FrontConfig};
 use rtm_front::proto::{decode_all, encode_all, Frame, Verdict};
 use rtm_front::wire::record_frames;
+use rtm_obs::Obs;
 use rtm_serve::SchedPolicy;
 
 struct Options {
@@ -146,7 +147,7 @@ fn print_summaries(frames: &[Frame]) {
 
 /// Checks the server's summaries against an in-process run.
 fn verify(cfg: &FrontConfig, policy: SchedPolicy, response: &[Frame]) -> bool {
-    let internal = run_front(cfg, policy);
+    let internal = run_front(cfg, policy, Obs::default());
     let mut ok = true;
     for f in response {
         if let Frame::Summary {

@@ -19,6 +19,7 @@ use std::collections::BinaryHeap;
 use crate::class::{ClassSpec, SloClass};
 use crate::proto::Verdict;
 use crate::session::{FrontArrival, SessionArrivals, SessionTable};
+use rtm_obs::Obs;
 use rtm_serve::{
     Completion, LatencySummary, RequestSource, SchedPolicy, ServeConfig, ServeResult, ServeSim,
     SourcePoll,
@@ -491,22 +492,21 @@ impl FrontResult {
         }
     }
 
-    /// Records per-class counters and latency gauges into the global
-    /// labeled-metrics registry (no-op while observability is off).
-    pub fn record_labels(&self, policy: &str) {
-        let labels = rtm_obs::global().labeled();
-        if !labels.enabled() {
+    /// Records per-class counters and latency gauges into `obs` as
+    /// labeled metrics (no-op unless `obs` records labeled metrics).
+    pub fn record_labels(&self, policy: &str, obs: &Obs) {
+        let Some(labels) = obs.labels() else {
             return;
-        }
+        };
         for c in &self.classes {
             let cell = [("policy", policy), ("class", c.class.label())];
-            labels.counter_add_with("front.admitted", &cell, c.admitted);
-            labels.counter_add_with("front.shed", &cell, c.shed);
-            labels.counter_add_with("front.deferred", &cell, c.deferred);
-            labels.counter_add_with("front.completed", &cell, c.completed);
-            labels.gauge_set_with("front.p99_total_cycles", &cell, c.latency.p99 as f64);
+            labels.counter_add_labeled("front.admitted", &cell, c.admitted);
+            labels.counter_add_labeled("front.shed", &cell, c.shed);
+            labels.counter_add_labeled("front.deferred", &cell, c.deferred);
+            labels.counter_add_labeled("front.completed", &cell, c.completed);
+            labels.gauge_set_labeled("front.p99_total_cycles", &cell, c.latency.p99 as f64);
         }
-        labels.gauge_set_with(
+        labels.gauge_set_labeled(
             "front.fairness_ratio",
             &[("policy", policy)],
             self.fairness_ratio(),
@@ -514,10 +514,11 @@ impl FrontResult {
     }
 }
 
-/// Runs one front-door serving experiment end to end.
-pub fn run_front(cfg: &FrontConfig, policy: SchedPolicy) -> FrontResult {
+/// Runs one front-door serving experiment end to end; the serving
+/// simulation records into `obs` (see [`ServeSim::observed`]).
+pub fn run_front(cfg: &FrontConfig, policy: SchedPolicy, obs: Obs) -> FrontResult {
     let mut door = FrontDoor::new(cfg);
-    let serve = ServeSim::new(cfg.serve_config(policy)).run_source(&mut door);
+    let serve = ServeSim::observed(cfg.serve_config(policy), obs).run_source(&mut door);
     door.finish(serve)
 }
 
@@ -531,8 +532,8 @@ mod tests {
 
     #[test]
     fn run_is_deterministic_and_conserves_requests() {
-        let a = run_front(&small(), SchedPolicy::ShiftAware);
-        let b = run_front(&small(), SchedPolicy::ShiftAware);
+        let a = run_front(&small(), SchedPolicy::ShiftAware, Obs::default());
+        let b = run_front(&small(), SchedPolicy::ShiftAware, Obs::default());
         assert_eq!(a, b);
         assert_eq!(a.admitted() + a.shed(), small().offered);
         assert_eq!(a.completed(), a.admitted());
@@ -542,7 +543,7 @@ mod tests {
 
     #[test]
     fn admission_control_discriminates_by_class() {
-        let r = run_front(&small(), SchedPolicy::ShiftAware);
+        let r = run_front(&small(), SchedPolicy::ShiftAware, Obs::default());
         let by = |class: SloClass| {
             r.classes
                 .iter()
@@ -569,7 +570,7 @@ mod tests {
     fn window_caps_outstanding_work() {
         let mut cfg = small();
         cfg.window = 8;
-        let r = run_front(&cfg, SchedPolicy::Fcfs);
+        let r = run_front(&cfg, SchedPolicy::Fcfs, Obs::default());
         assert!(r.serve.peak_in_flight + r.serve.peak_queued <= 2 * 8 + 2);
         assert_eq!(r.completed(), r.admitted());
     }

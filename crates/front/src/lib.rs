@@ -31,10 +31,11 @@
 //!
 //! ```
 //! use rtm_front::{run_front, FrontConfig};
+//! use rtm_obs::Obs;
 //! use rtm_serve::SchedPolicy;
 //!
 //! let cfg = FrontConfig::new(100).with_offered(2_000);
-//! let r = run_front(&cfg, SchedPolicy::ShiftAware);
+//! let r = run_front(&cfg, SchedPolicy::ShiftAware, Obs::default());
 //! assert_eq!(r.admitted() + r.shed(), 2_000);
 //! assert_eq!(r.completed(), r.admitted());
 //! assert!(r.fairness_ratio() >= 1.0);

@@ -274,6 +274,7 @@ mod tests {
     use super::*;
     use crate::door::run_front;
     use crate::proto::{decode_all, encode_all, Loopback, Verdict};
+    use rtm_obs::Obs;
     use std::io::Write;
 
     fn cfg() -> FrontConfig {
@@ -283,7 +284,7 @@ mod tests {
     #[test]
     fn wire_replay_matches_internal_run_exactly() {
         let cfg = cfg();
-        let internal = run_front(&cfg, SchedPolicy::ShiftAware);
+        let internal = run_front(&cfg, SchedPolicy::ShiftAware, Obs::default());
         // Record, push through an in-memory byte stream, decode, serve.
         let mut chan = Loopback::new();
         chan.write_all(&encode_all(&record_frames(&cfg))).unwrap();

@@ -18,8 +18,11 @@ use rtm_controller::controller::ShiftPolicy;
 use rtm_cost::energy::{LlcActivity, LlcEnergyModel};
 use rtm_cost::overhead::Scheme;
 use rtm_cost::technology::{CacheTech, LlcDesign, SystemConfig};
+use rtm_model::analytic::Engine;
+use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{MemAccess, TraceGenerator};
+use rtm_track::fault::FaultModelChoice;
 use rtm_util::units::{Picojoules, Seconds};
 
 /// The LLC configurations the paper's Figs. 16-18 compare.
@@ -115,21 +118,29 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Records this run's summary gauges into the global metrics
-    /// registry (no-op while observability is off).
+    /// Records this run into `obs` once: the summary gauges, and the
+    /// hierarchy and LLC counts this result carries (`hier.*`, and for
+    /// racetrack LLCs the counters of [`crate::llc::LlcStats::record`]).
     ///
     /// Kept separate from [`Hierarchy::result`] so parallel sweeps can
     /// record results *after* their workers join, in deterministic
     /// cell order — concurrent `gauge_set`s from inside workers would
     /// leave whichever cell finished last in the snapshot.
-    pub fn record_metrics(&self) {
-        let reg = rtm_obs::global().registry();
-        if reg.enabled() {
-            reg.gauge_set("hier.cycles", self.cycles as f64);
-            reg.gauge_set("energy.llc_dynamic_pj", self.llc_dynamic_energy().value());
-            reg.gauge_set("energy.llc_total_pj", self.llc_total_energy().value());
-            reg.gauge_set("energy.system_pj", self.system_energy().value());
-            self.scale.record(reg);
+    pub fn record_metrics(&self, obs: &Obs) {
+        let Some(reg) = obs.metrics() else {
+            return;
+        };
+        reg.gauge_set("hier.cycles", self.cycles as f64);
+        reg.gauge_set("energy.llc_dynamic_pj", self.llc_dynamic_energy().value());
+        reg.gauge_set("energy.llc_total_pj", self.llc_total_energy().value());
+        reg.gauge_set("energy.system_pj", self.system_energy().value());
+        self.scale.record(reg);
+        reg.fold_count("hier.accesses", self.accesses);
+        reg.fold_count("hier.l1_misses", self.l1_misses);
+        reg.fold_count("hier.l2_misses", self.l2_misses);
+        reg.fold_count("hier.dram_accesses", self.dram_accesses);
+        if self.choice.is_racetrack() {
+            self.llc.record(obs, self.activity.pecc_checks);
         }
     }
 
@@ -207,99 +218,81 @@ pub struct Hierarchy {
     instructions: u64,
     accesses: u64,
     dram_accesses: u64,
+    /// The run's observer (records nothing by default).
+    obs: Obs,
 }
 
 impl Hierarchy {
-    /// Builds the paper's Table 4 platform with the chosen LLC.
-    pub fn new(choice: LlcChoice) -> Self {
-        let tech = match choice {
-            LlcChoice::SramBaseline => CacheTech::Sram,
-            LlcChoice::SttRam => CacheTech::SttRam,
-            _ => CacheTech::Racetrack,
-        };
-        let config = SystemConfig::paper(tech);
+    /// Builds the paper's Table 4 platform with the chosen LLC; the
+    /// hierarchy and a racetrack LLC record into `obs`.
+    pub fn new(choice: LlcChoice, obs: Obs) -> Self {
+        let racetrack =
+            |llc: RacetrackLlc| -> Box<dyn LlcModel> { Box::new(llc.with_obs(obs.clone())) };
         let llc: Box<dyn LlcModel> = match choice {
             LlcChoice::SramBaseline => Box::new(SimpleLlc::new(LlcDesign::sram())),
             LlcChoice::SttRam => Box::new(SimpleLlc::new(LlcDesign::stt_ram())),
-            LlcChoice::RacetrackIdeal => Box::new(RacetrackLlc::ideal()),
-            LlcChoice::RacetrackUnprotected => Box::new(RacetrackLlc::new(
+            LlcChoice::RacetrackIdeal => racetrack(RacetrackLlc::ideal()),
+            LlcChoice::RacetrackUnprotected => racetrack(RacetrackLlc::new(
                 ProtectionKind::None,
                 ShiftPolicy::Unconstrained,
             )),
-            LlcChoice::RacetrackPeccO => Box::new(RacetrackLlc::new(
+            LlcChoice::RacetrackPeccO => racetrack(RacetrackLlc::new(
                 ProtectionKind::SECDED_O,
                 ShiftPolicy::StepByStep,
             )),
-            LlcChoice::RacetrackPeccSWorst => Box::new(RacetrackLlc::new(
+            LlcChoice::RacetrackPeccSWorst => racetrack(RacetrackLlc::new(
                 ProtectionKind::SECDED,
                 ShiftPolicy::FixedSafe {
                     worst_intensity_hz: 83_000_000,
                 },
             )),
-            LlcChoice::RacetrackPeccSAdaptive => Box::new(RacetrackLlc::new(
+            LlcChoice::RacetrackPeccSAdaptive => racetrack(RacetrackLlc::new(
                 ProtectionKind::SECDED,
                 ShiftPolicy::Adaptive,
             )),
         };
-        Self {
-            l1: (0..config.cores)
-                .map(|_| Cache::new(config.l1.capacity_bytes, config.l1.ways, config.line_bytes))
-                .collect(),
-            l2: Cache::new(config.l2.capacity_bytes, config.l2.ways, config.line_bytes),
-            llc,
-            config,
-            choice,
-            cycles: 0,
-            instructions: 0,
-            accesses: 0,
-            dram_accesses: 0,
-        }
+        Self::build(llc, choice, obs)
     }
 
     /// Builds the platform with a *custom* racetrack LLC configuration
     /// (protection kind × policy combinations beyond the named
     /// [`LlcChoice`] presets, e.g. the SED and plain-SECDED variants of
-    /// Figs. 10-11). Results are labelled with the closest preset for
-    /// energy-model purposes: `RacetrackUnprotected`.
-    pub fn with_racetrack(kind: ProtectionKind, policy: ShiftPolicy) -> Self {
-        Self::from_racetrack_llc(RacetrackLlc::new(kind, policy))
-    }
-
-    /// [`Hierarchy::with_racetrack`] with per-shift outcome sampling
-    /// enabled through the chosen engine's fault model (see
-    /// [`RacetrackLlc::with_fault_sampling`]). Latency, risk and cache
-    /// behaviour are identical to the unsampled hierarchy; the run
-    /// additionally tallies observed sampled errors in
+    /// Figs. 10-11), recording into `obs`. With `sampling = Some((fault
+    /// model, engine, seed))` the LLC also samples per-shift outcomes
+    /// (see [`RacetrackLlc::with_fault_model`]): latency, risk and cache
+    /// behaviour are unchanged, and the run additionally tallies
     /// [`crate::llc::LlcStats::sampled_shifts`] /
-    /// [`crate::llc::LlcStats::observed_errors`].
-    pub fn with_racetrack_sampled(
+    /// [`crate::llc::LlcStats::observed_errors`]. Results are labelled
+    /// with the closest preset for energy-model purposes:
+    /// `RacetrackUnprotected`.
+    pub fn racetrack(
         kind: ProtectionKind,
         policy: ShiftPolicy,
-        engine: rtm_model::analytic::Engine,
-        seed: u64,
+        sampling: Option<(FaultModelChoice, Engine, u64)>,
+        obs: Obs,
     ) -> Self {
-        Self::from_racetrack_llc(RacetrackLlc::new(kind, policy).with_fault_sampling(engine, seed))
+        let mut llc = RacetrackLlc::new(kind, policy).with_obs(obs.clone());
+        if let Some((fault_model, engine, seed)) = sampling {
+            llc = llc.with_fault_model(fault_model, engine, seed);
+        }
+        Self::build(Box::new(llc), LlcChoice::RacetrackUnprotected, obs)
     }
 
-    /// [`Hierarchy::with_racetrack_sampled`] with an explicit
-    /// fault-process choice — the full scheme × fault-model matrix
-    /// entry point.
+    /// [`Hierarchy::racetrack`] with fault sampling and no observer —
+    /// one cell of the scheme × fault-model matrix.
     pub fn with_racetrack_faults(
         kind: ProtectionKind,
         policy: ShiftPolicy,
-        fault_model: rtm_track::fault::FaultModelChoice,
-        engine: rtm_model::analytic::Engine,
+        fault_model: FaultModelChoice,
+        engine: Engine,
         seed: u64,
     ) -> Self {
-        Self::from_racetrack_llc(RacetrackLlc::new(kind, policy).with_fault_model(
-            fault_model,
-            engine,
-            seed,
-        ))
-    }
-
-    fn from_racetrack_llc(llc: RacetrackLlc) -> Self {
-        Self::with_llc(Box::new(llc), LlcChoice::RacetrackUnprotected)
+        Self::racetrack(
+            kind,
+            policy,
+            Some((fault_model, engine, seed)),
+            Obs::default(),
+        )
     }
 
     /// Builds the platform around an arbitrary LLC backend — the
@@ -308,6 +301,13 @@ impl Hierarchy {
     /// all accounting stay identical to the paper's configuration.
     /// `choice` labels the result for energy-model purposes.
     pub fn with_llc(llc: Box<dyn LlcModel>, choice: LlcChoice) -> Self {
+        Self::build(llc, choice, Obs::default())
+    }
+
+    /// The platform around `llc`; the hierarchy records its access
+    /// latencies into `obs` (an LLC records into the handle it was built
+    /// with).
+    fn build(llc: Box<dyn LlcModel>, choice: LlcChoice, obs: Obs) -> Self {
         let tech = match choice {
             LlcChoice::SramBaseline => CacheTech::Sram,
             LlcChoice::SttRam => CacheTech::SttRam,
@@ -326,6 +326,7 @@ impl Hierarchy {
             instructions: 0,
             accesses: 0,
             dram_accesses: 0,
+            obs,
         }
     }
 
@@ -350,27 +351,23 @@ impl Hierarchy {
         let mut latency = self.config.l1.access_cycles;
         let l1r = self.l1[core].access(a.addr, kind);
         if !l1r.is_hit() {
-            rtm_obs::counter_add("hier.l1_misses", 1);
             latency += self.config.l2.access_cycles;
             let l2r = self.l2.access(a.addr, kind);
             if !l2r.is_hit() {
-                rtm_obs::counter_add("hier.l2_misses", 1);
                 let llc_resp = self.llc.access(a.addr, kind, self.cycles);
                 latency += llc_resp.latency_cycles;
                 if !llc_resp.hit {
                     latency += self.config.memory.access_cycles;
                     self.dram_accesses += 1;
-                    rtm_obs::counter_add("hier.dram_accesses", 1);
                 }
                 if llc_resp.writeback {
                     self.dram_accesses += 1;
-                    rtm_obs::counter_add("hier.dram_accesses", 1);
                 }
             }
         }
         self.cycles += latency;
-        rtm_obs::counter_add("hier.accesses", 1);
-        rtm_obs::observe("hier.access_latency_cycles", latency as f64);
+        self.obs
+            .observe("hier.access_latency_cycles", latency as f64);
         latency
     }
 
@@ -436,7 +433,7 @@ mod tests {
 
     fn run(choice: LlcChoice, workload: &str, n: u64) -> SimResult {
         let p = WorkloadProfile::by_name(workload).unwrap();
-        let mut sys = Hierarchy::new(choice);
+        let mut sys = Hierarchy::new(choice, Obs::default());
         sys.run(&mut TraceGenerator::new(p, 42), n)
     }
 

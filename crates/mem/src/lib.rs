@@ -24,10 +24,11 @@
 //!
 //! ```
 //! use rtm_mem::hierarchy::{Hierarchy, LlcChoice};
+//! use rtm_obs::Obs;
 //! use rtm_trace::{TraceGenerator, WorkloadProfile};
 //!
 //! let profile = WorkloadProfile::by_name("swaptions").unwrap();
-//! let mut sys = Hierarchy::new(LlcChoice::SramBaseline);
+//! let mut sys = Hierarchy::new(LlcChoice::SramBaseline, Obs::default());
 //! let result = sys.run(&mut TraceGenerator::new(profile, 1), 20_000);
 //! assert_eq!(result.accesses, 20_000);
 //! assert!(result.cycles > 0);

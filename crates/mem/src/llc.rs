@@ -8,6 +8,8 @@ use rtm_cost::energy::LlcActivity;
 use rtm_cost::technology::LlcDesign;
 use rtm_model::analytic::Engine;
 use rtm_model::params::DeviceParams;
+use rtm_obs::metrics::MetricsRegistry;
+use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_track::fault::{FaultModel, FaultModelChoice, SelectedFaultModel};
 use rtm_track::geometry::StripeGeometry;
@@ -45,27 +47,27 @@ pub struct LlcStats {
 }
 
 impl LlcStats {
-    /// This stats block as an [`rtm_obs`] registry snapshot, under
-    /// `llc.*` metric names (counts as counters, accumulated
-    /// probabilities as gauges).
-    pub fn to_metrics(&self) -> rtm_obs::metrics::RegistrySnapshot {
-        let reg = rtm_obs::metrics::MetricsRegistry::new();
-        reg.set_enabled(true);
-        reg.counter_add("llc.hits", self.cache.hits);
-        reg.counter_add("llc.misses", self.cache.misses);
-        reg.counter_add("llc.writebacks", self.cache.writebacks);
-        reg.counter_add("llc.reads", self.cache.reads);
-        reg.counter_add("llc.writes", self.cache.writes);
-        reg.counter_add("llc.shift_ops", self.shift_ops);
-        reg.counter_add("llc.shift_steps", self.shift_steps);
-        reg.counter_add("llc.shift_cycles", self.shift_cycles);
-        reg.counter_add("llc.verify_cycles", self.verify_cycles);
-        reg.counter_add("llc.zero_shift_accesses", self.zero_shift_accesses);
-        reg.gauge_set("llc.expected_dues", self.expected_dues);
-        reg.gauge_set("llc.expected_sdcs", self.expected_sdcs);
-        reg.counter_add("engine.sample.shifts", self.sampled_shifts);
-        reg.counter_add("engine.sample.errors", self.observed_errors);
-        reg.snapshot()
+    /// Folds a racetrack run's counts into `obs`, once per run: the
+    /// `llc.*` cache counters, the `engine.sample.*` sampled outcomes,
+    /// and the controllers' `shift.operations`, `shift.steps` and
+    /// `pecc.checks` (`pecc_checks` comes from the run's activity
+    /// record). The three controller counters appear together once the
+    /// run planned any shift, as they would if counted per plan.
+    pub fn record(&self, obs: &Obs, pecc_checks: u64) {
+        let Some(reg) = obs.metrics() else {
+            return;
+        };
+        reg.fold_count("llc.accesses", self.cache.accesses());
+        reg.fold_count("llc.misses", self.cache.misses);
+        reg.fold_count("llc.writebacks", self.cache.writebacks);
+        reg.fold_count("llc.zero_shift_accesses", self.zero_shift_accesses);
+        reg.fold_count("engine.sample.shifts", self.sampled_shifts);
+        reg.fold_count("engine.sample.errors", self.observed_errors);
+        if self.shift_ops > 0 {
+            reg.counter_add("shift.operations", self.shift_ops);
+            reg.counter_add("shift.steps", self.shift_steps);
+            reg.counter_add("pecc.checks", pecc_checks);
+        }
     }
 }
 
@@ -100,7 +102,7 @@ pub struct ScaleStats {
 
 impl ScaleStats {
     /// Records the occupancy gauges into the given registry.
-    pub fn record(&self, reg: &rtm_obs::metrics::MetricsRegistry) {
+    pub fn record(&self, reg: &MetricsRegistry) {
         reg.gauge_set("scale.configured_groups", self.configured_groups as f64);
         reg.gauge_set("scale.materialised_groups", self.materialised_groups as f64);
         reg.gauge_set("scale.pristine_hits", self.pristine_hits as f64);
@@ -254,6 +256,8 @@ pub struct RacetrackLlc {
     /// Zero-shift accesses served while the group's head register was
     /// still untouched (lazy fast path; subset of `zero_shift`).
     pristine_hits: u64,
+    /// The run's observer (records nothing by default).
+    obs: Obs,
 }
 
 impl RacetrackLlc {
@@ -312,7 +316,40 @@ impl RacetrackLlc {
             sampled_shifts: 0,
             observed_errors: 0,
             pristine_hits: 0,
+            obs: Obs::default(),
         }
+    }
+
+    /// Records this LLC's accesses — and its controllers' transactions
+    /// — into `obs` (builder style).
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.controllers = std::mem::take(&mut self.controllers)
+            .into_iter()
+            .map(|c| c.with_obs(obs.clone()))
+            .collect();
+        self.obs = obs;
+        self.record_alias_tables();
+        self
+    }
+
+    /// Counts the fault sampler's precomputed alias tables (whichever
+    /// of [`Self::with_obs`] and [`Self::with_fault_model`] runs second
+    /// sees both the sampler and the observer).
+    fn record_alias_tables(&self) {
+        if let Some(model) = &self.sampler {
+            let tables = model.alias_tables();
+            if tables > 0 {
+                self.obs.counter_add("engine.alias.tables", tables);
+            }
+        }
+    }
+
+    /// Folds this run's LLC and controller counts into the LLC's
+    /// observer (see [`LlcStats::record`]). Call once, when the run
+    /// ends.
+    pub fn record_metrics(&self) {
+        self.stats()
+            .record(&self.obs, self.controller_totals().checks);
     }
 
     /// Rebuilds the LLC at a different capacity (builder style), keeping
@@ -376,6 +413,7 @@ impl RacetrackLlc {
     /// untouched.
     pub fn with_fault_model(mut self, choice: FaultModelChoice, engine: Engine, seed: u64) -> Self {
         self.sampler = Some(choice.build(engine, &DeviceParams::table1(), seed));
+        self.record_alias_tables();
         self
     }
 
@@ -390,10 +428,6 @@ impl RacetrackLlc {
             }
             self.sampled_shifts += sequence.len() as u64;
             self.observed_errors += errors;
-            rtm_obs::counter_add("engine.sample.shifts", sequence.len() as u64);
-            if errors > 0 {
-                rtm_obs::counter_add("engine.sample.errors", errors);
-            }
         }
     }
 
@@ -540,7 +574,6 @@ impl RacetrackLlc {
                 // defaults without materialising anything.
                 self.pristine_hits += 1;
             }
-            rtm_obs::counter_add("llc.zero_shift_accesses", 1);
             0
         } else {
             let distance = current.abs_diff(target) as u32;
@@ -596,7 +629,7 @@ impl RacetrackLlc {
             self.stats_shift_ops += plan.sequence.len() as u64;
             self.stats_shift_steps += distance as u64;
             self.idle_steps += distance as u64;
-            rtm_obs::counter_add("llc.idle_steps", distance as u64);
+            self.obs.counter_add("llc.idle_steps", distance as u64);
             self.sample_sequence(&plan.sequence);
             self.heads.set(group, rest);
         }
@@ -634,17 +667,8 @@ impl RacetrackLlc {
                 }
             ),
         };
-        let reg = rtm_obs::global().registry();
-        if reg.enabled() {
-            reg.counter_add("llc.accesses", 1);
-            if !resp.hit {
-                reg.counter_add("llc.misses", 1);
-            }
-            if resp.writeback {
-                reg.counter_add("llc.writebacks", 1);
-            }
-            reg.observe("llc.access_latency_cycles", resp.latency_cycles as f64);
-        }
+        self.obs
+            .observe("llc.access_latency_cycles", resp.latency_cycles as f64);
         resp
     }
 }

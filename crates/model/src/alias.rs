@@ -221,7 +221,6 @@ impl OutcomeAliasSampler {
                     .collect(),
             );
         }
-        rtm_obs::counter_add("engine.alias.tables", 2 * max_distance as u64);
         Self {
             noise,
             classes,

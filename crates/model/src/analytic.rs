@@ -206,7 +206,6 @@ impl AnalyticEngine {
     ///
     /// Panics if any distance is zero.
     pub fn sequence_offset_distribution(&self, distances: &[u32]) -> OffsetDistribution {
-        rtm_obs::counter_add("engine.convolutions", 1);
         distances
             .iter()
             .fold(OffsetDistribution::point(0), |acc, &d| {
@@ -222,7 +221,6 @@ impl AnalyticEngine {
     ///
     /// Panics if `distance == 0`.
     pub fn position_pdf(&self, distance: u32) -> PositionPdf {
-        rtm_obs::counter_add("engine.analytic.pdfs", 1);
         let fit = GaussianFit {
             mu: self.noise.mean_for(distance),
             sigma: self.noise.sigma_for(distance),

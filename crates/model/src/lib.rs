@@ -48,7 +48,6 @@
 pub mod alias;
 pub mod analytic;
 pub mod dynamics;
-pub mod dynamics1d;
 pub mod montecarlo;
 pub mod params;
 pub mod pdfcache;

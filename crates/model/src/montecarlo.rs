@@ -10,6 +10,7 @@
 
 use crate::params::DeviceParams;
 use crate::shift::{NoiseModel, ShiftOutcome};
+use rtm_obs::Obs;
 use rtm_util::fit::GaussianFit;
 use rtm_util::rng::SmallRng64;
 use rtm_util::stats::OnlineStats;
@@ -173,13 +174,7 @@ struct ChunkAccum {
 }
 
 /// Simulates one chunk of raw shifts on an independent RNG stream.
-fn simulate_chunk(
-    noise: &NoiseModel,
-    distance: u32,
-    len: u64,
-    seed: u64,
-    progress: &rtm_obs::timer::Progress,
-) -> ChunkAccum {
+fn simulate_chunk(noise: &NoiseModel, distance: u32, len: u64, seed: u64) -> ChunkAccum {
     let mut rng = SmallRng64::new(seed);
     let mut counts = HashMap::new();
     let mut errors = OnlineStats::new();
@@ -188,7 +183,6 @@ fn simulate_chunk(
         let outcome = noise.settle(e);
         *counts.entry(PositionBin::of(&outcome)).or_insert(0u64) += 1;
         errors.push(e);
-        progress.tick(1);
     }
     ChunkAccum { counts, errors }
 }
@@ -207,10 +201,19 @@ fn simulate_chunk(
 ///
 /// Panics if `distance == 0` or `trials == 0`.
 pub fn position_pdf(params: &DeviceParams, distance: u32, trials: u64, seed: u64) -> PositionPdf {
-    position_pdf_with_threads(params, distance, trials, seed, rtm_par::threads())
+    position_pdf_with_threads(
+        params,
+        distance,
+        trials,
+        seed,
+        rtm_par::threads(),
+        &Obs::default(),
+    )
 }
 
-/// [`position_pdf`] with an explicit worker count.
+/// [`position_pdf`] with an explicit worker count, recording into
+/// `obs`: trial heartbeats, and once the chunks merge the `mc.trials`,
+/// `mc.on_target`, `mc.out_of_step` and `mc.stop_in_middle` counters.
 ///
 /// The output is **bit-identical for every `threads` value**: the
 /// chunk layout depends only on `trials`, each chunk's RNG stream is
@@ -226,23 +229,24 @@ pub fn position_pdf_with_threads(
     trials: u64,
     seed: u64,
     threads: usize,
+    obs: &Obs,
 ) -> PositionPdf {
     assert!(distance > 0, "distance must be positive");
     assert!(trials > 0, "at least one trial required");
     let noise = NoiseModel::from_params(params);
 
-    let progress =
-        rtm_obs::timer::Progress::new(format!("montecarlo d={distance}"), trials, "trials");
+    let progress = obs.progress(format!("montecarlo d={distance}"), trials, "trials");
     let plan = rtm_par::chunks(trials, MC_CHUNK_TRIALS);
     let accums = rtm_par::parallel_map_with(threads, plan.len(), |i| {
         let chunk = plan[i];
-        simulate_chunk(
+        let accum = simulate_chunk(
             &noise,
             distance,
             chunk.len,
             rtm_util::rng::derive_seed(seed, chunk.index as u64),
-            &progress,
-        )
+        );
+        progress.tick(chunk.len);
+        accum
     });
     progress.finish();
 
@@ -257,18 +261,18 @@ pub fn position_pdf_with_threads(
         }
         errors.merge(&a.errors);
     }
-
-    let reg = rtm_obs::global().registry();
-    if reg.enabled() {
+    if let Some(reg) = obs.metrics() {
         reg.counter_add("mc.trials", trials);
         for (bin, n) in &counts {
-            match bin {
-                PositionBin::AtStep(0) => reg.counter_add("mc.on_target", *n),
-                PositionBin::AtStep(_) => reg.counter_add("mc.out_of_step", *n),
-                PositionBin::Between(_) => reg.counter_add("mc.stop_in_middle", *n),
-            }
+            let name = match bin {
+                PositionBin::AtStep(0) => "mc.on_target",
+                PositionBin::AtStep(_) => "mc.out_of_step",
+                PositionBin::Between(_) => "mc.stop_in_middle",
+            };
+            reg.counter_add(name, *n);
         }
     }
+
     let fit = GaussianFit {
         mu: noise.mean_for(distance),
         sigma: noise.sigma_for(distance),
@@ -300,10 +304,17 @@ pub fn position_pdf_with_threads(
 /// Panels go through the PDF memo cache ([`crate::pdfcache`]), so
 /// repeated figure runs with identical inputs are free.
 pub fn figure4(params: &DeviceParams, trials: u64, seed: u64) -> [PositionPdf; 3] {
-    figure4_with_engine(params, trials, seed, crate::analytic::Engine::MonteCarlo)
+    figure4_with_engine(
+        params,
+        trials,
+        seed,
+        crate::analytic::Engine::MonteCarlo,
+        &Obs::default(),
+    )
 }
 
-/// [`figure4`] from the requested engine.
+/// [`figure4`] from the requested engine, recording into `obs` (see
+/// [`crate::pdfcache::position_pdf_cached_engine`]).
 ///
 /// For [`crate::analytic::Engine::Analytic`] the panels come from the
 /// closed form (trials and seed are irrelevant and the returned PDFs
@@ -315,6 +326,7 @@ pub fn figure4_with_engine(
     trials: u64,
     seed: u64,
     engine: crate::analytic::Engine,
+    obs: &Obs,
 ) -> [PositionPdf; 3] {
     let panel = |d: u32| {
         crate::pdfcache::position_pdf_cached_engine(
@@ -323,6 +335,7 @@ pub fn figure4_with_engine(
             trials,
             rtm_util::rng::derive_seed(seed, d as u64),
             engine,
+            obs,
         )
     };
     [panel(1), panel(4), panel(7)]
@@ -453,9 +466,9 @@ mod tests {
         let params = DeviceParams::table1();
         // More trials than one chunk so several chunks actually run.
         let trials = 3 * MC_CHUNK_TRIALS + 1234;
-        let one = position_pdf_with_threads(&params, 4, trials, 42, 1);
-        let two = position_pdf_with_threads(&params, 4, trials, 42, 2);
-        let eight = position_pdf_with_threads(&params, 4, trials, 42, 8);
+        let one = position_pdf_with_threads(&params, 4, trials, 42, 1, &Obs::default());
+        let two = position_pdf_with_threads(&params, 4, trials, 42, 2, &Obs::default());
+        let eight = position_pdf_with_threads(&params, 4, trials, 42, 8, &Obs::default());
         // PartialEq on PositionPdf is bit-exact over every f64 inside.
         assert_eq!(one, two);
         assert_eq!(one, eight);

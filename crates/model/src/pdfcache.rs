@@ -18,12 +18,13 @@
 //! cleared wholesale before inserting, which keeps the policy
 //! deterministic (no clock- or order-dependent eviction) and is
 //! harmless at the access rates of figure drivers. Hits and misses are
-//! counted in the global metrics registry as `mc.pdf_cache.hits` /
-//! `mc.pdf_cache.misses` when observability is on.
+//! counted as `mc.pdf_cache.hits` / `mc.pdf_cache.misses` in the
+//! caller's observer.
 
 use crate::analytic::{position_pdf_analytic, Engine};
-use crate::montecarlo::{position_pdf, PositionPdf};
+use crate::montecarlo::{position_pdf_with_threads, PositionPdf};
 use crate::params::DeviceParams;
+use rtm_obs::Obs;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -49,6 +50,8 @@ fn cache() -> &'static Mutex<HashMap<PdfKey, PositionPdf>> {
 /// engine; see [`position_pdf_cached_engine`] for the engine-generic
 /// entry point).
 ///
+/// [`position_pdf`]: crate::montecarlo::position_pdf
+///
 /// # Panics
 ///
 /// Panics if `distance == 0` or `trials == 0` (as [`position_pdf`]).
@@ -58,11 +61,21 @@ pub fn position_pdf_cached(
     trials: u64,
     seed: u64,
 ) -> PositionPdf {
-    position_pdf_cached_engine(params, distance, trials, seed, Engine::MonteCarlo)
+    position_pdf_cached_engine(
+        params,
+        distance,
+        trials,
+        seed,
+        Engine::MonteCarlo,
+        &Obs::default(),
+    )
 }
 
 /// The position-error PDF for `(params, distance)` from the requested
-/// engine, behind the process-wide memo cache.
+/// engine, behind the process-wide memo cache. Cache hits and misses,
+/// analytic PDFs computed (`engine.analytic.pdfs`) and the Monte-Carlo
+/// run of a miss (see [`crate::montecarlo::position_pdf_with_threads`])
+/// record into `obs`.
 ///
 /// For [`Engine::MonteCarlo`] the key is the full
 /// `(params, distance, trials, seed)` identity; for
@@ -84,6 +97,7 @@ pub fn position_pdf_cached_engine(
     trials: u64,
     seed: u64,
     engine: Engine,
+    obs: &Obs,
 ) -> PositionPdf {
     let key = match engine {
         Engine::MonteCarlo => PdfKey {
@@ -102,13 +116,18 @@ pub fn position_pdf_cached_engine(
         },
     };
     if let Some(hit) = cache().lock().expect("pdf cache poisoned").get(&key) {
-        rtm_obs::counter_add("mc.pdf_cache.hits", 1);
+        obs.counter_add("mc.pdf_cache.hits", 1);
         return hit.clone();
     }
-    rtm_obs::counter_add("mc.pdf_cache.misses", 1);
+    obs.counter_add("mc.pdf_cache.misses", 1);
     let pdf = match engine {
-        Engine::MonteCarlo => position_pdf(params, distance, trials, seed),
-        Engine::Analytic => position_pdf_analytic(params, distance),
+        Engine::MonteCarlo => {
+            position_pdf_with_threads(params, distance, trials, seed, rtm_par::threads(), obs)
+        }
+        Engine::Analytic => {
+            obs.counter_add("engine.analytic.pdfs", 1);
+            position_pdf_analytic(params, distance)
+        }
     };
     let mut map = cache().lock().expect("pdf cache poisoned");
     if map.len() >= CACHE_CAPACITY {
@@ -131,6 +150,7 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::position_pdf;
 
     // One test exercises the shared process-wide cache end to end;
     // keeping it single threaded avoids cross-test interference on the
@@ -163,16 +183,19 @@ mod tests {
         // Engine tags must never alias: an mc-keyed and an
         // analytic-keyed lookup for the same (params, distance, trials,
         // seed) miss each other and cache distinct values.
-        let mc = position_pdf_cached_engine(&params, 3, 10_000, 77, Engine::MonteCarlo);
+        let mc =
+            position_pdf_cached_engine(&params, 3, 10_000, 77, Engine::MonteCarlo, &Obs::default());
         assert_eq!(cached_len(), 1);
-        let analytic = position_pdf_cached_engine(&params, 3, 10_000, 77, Engine::Analytic);
+        let analytic =
+            position_pdf_cached_engine(&params, 3, 10_000, 77, Engine::Analytic, &Obs::default());
         assert_eq!(cached_len(), 2, "analytic lookup must miss the mc entry");
         assert_ne!(mc, analytic);
         assert_eq!(mc.trials, 10_000);
         assert_eq!(analytic.trials, 0);
         // Analytic keys normalise trials/seed: any trials/seed combo
         // hits the same closed-form entry.
-        let again = position_pdf_cached_engine(&params, 3, 999, 12345, Engine::Analytic);
+        let again =
+            position_pdf_cached_engine(&params, 3, 999, 12345, Engine::Analytic, &Obs::default());
         assert_eq!(again, analytic);
         assert_eq!(cached_len(), 2);
         // And the untagged entry point still resolves to the mc engine.

@@ -103,6 +103,7 @@ fn mttf_inverse_relation() {
 #[test]
 fn position_pdf_chunk_boundaries_are_thread_invariant() {
     use rtm_model::montecarlo::{position_pdf_with_threads, MC_CHUNK_TRIALS};
+    use rtm_obs::Obs;
     run_cases(6, |g: &mut Gen| {
         let trials = match g.u64_in(0, 2) {
             0 => g.u64_in(1, 500),                 // far below one chunk
@@ -112,9 +113,16 @@ fn position_pdf_chunk_boundaries_are_thread_invariant() {
         let seed = g.u64_in(0, u64::MAX);
         let distance = g.u32_in(1, 7);
         let params = DeviceParams::table1();
-        let base = position_pdf_with_threads(&params, distance, trials, seed, 1);
+        let base = position_pdf_with_threads(&params, distance, trials, seed, 1, &Obs::default());
         for threads in [2usize, 5] {
-            let alt = position_pdf_with_threads(&params, distance, trials, seed, threads);
+            let alt = position_pdf_with_threads(
+                &params,
+                distance,
+                trials,
+                seed,
+                threads,
+                &Obs::default(),
+            );
             assert_eq!(base, alt, "trials={trials} threads={threads}");
         }
         assert_eq!(base.error_stats.count(), trials);

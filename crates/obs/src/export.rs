@@ -11,11 +11,9 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use crate::events::EventTraceSnapshot;
 use crate::json::Json;
-use crate::labels::LabeledSnapshot;
-use crate::metrics::{MetricValue, RegistrySnapshot};
-use crate::span::SpanTraceSnapshot;
+use crate::metrics::{LabeledSnapshot, MetricValue, RegistrySnapshot};
+use crate::trace::{SpanSnapshot, TraceSnapshot};
 
 /// Serialises rows of cells as RFC-4180-style CSV (quotes doubled,
 /// cells containing commas/quotes/newlines quoted).
@@ -108,157 +106,34 @@ impl RegistrySnapshot {
     }
 }
 
-impl EventTraceSnapshot {
-    /// Rows for CSV export in a wide schema (one column per possible
-    /// field, blanks where a kind has no such field), header included.
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        let mut rows = vec![vec![
-            "seq".to_string(),
-            "cycle".to_string(),
-            "kind".to_string(),
-            "distance".to_string(),
-            "parts".to_string(),
-            "latency_cycles".to_string(),
-            "cycles".to_string(),
-            "outcome".to_string(),
-            "k".to_string(),
-            "steps".to_string(),
-            "cap".to_string(),
-            "id".to_string(),
-            "group".to_string(),
-            "queue_delay".to_string(),
-            "service_cycles".to_string(),
-        ]];
-        use crate::events::{PeccOutcome, ShiftEvent};
-        for e in &self.events {
-            let mut row = vec![
-                e.seq.to_string(),
-                e.cycle.to_string(),
-                e.event.kind().to_string(),
-            ];
-            row.resize(15, String::new());
-            match e.event {
-                ShiftEvent::ShiftPlanned {
-                    distance,
-                    parts,
-                    latency_cycles,
-                } => {
-                    row[3] = distance.to_string();
-                    row[4] = parts.to_string();
-                    row[5] = latency_cycles.to_string();
-                }
-                ShiftEvent::StsPulse { distance, cycles } => {
-                    row[3] = distance.to_string();
-                    row[6] = cycles.to_string();
-                }
-                ShiftEvent::PeccVerdict { outcome } => match outcome {
-                    PeccOutcome::Clean => row[7] = "clean".into(),
-                    PeccOutcome::Corrected(k) => {
-                        row[7] = "corrected".into();
-                        row[8] = k.to_string();
-                    }
-                    PeccOutcome::DetectedUncorrectable => {
-                        row[7] = "detected_uncorrectable".into();
-                    }
-                },
-                ShiftEvent::BackShift { steps } => {
-                    row[9] = steps.to_string();
-                }
-                ShiftEvent::SafeDistanceSplit {
-                    distance,
-                    cap,
-                    parts,
-                } => {
-                    row[3] = distance.to_string();
-                    row[10] = cap.to_string();
-                    row[4] = parts.to_string();
-                }
-                ShiftEvent::ReqEnqueued { id, group } => {
-                    row[11] = id.to_string();
-                    row[12] = group.to_string();
-                }
-                ShiftEvent::ReqDispatched {
-                    id,
-                    group,
-                    queue_delay,
-                } => {
-                    row[11] = id.to_string();
-                    row[12] = group.to_string();
-                    row[13] = queue_delay.to_string();
-                }
-                ShiftEvent::ReqCompleted { id, service_cycles } => {
-                    row[11] = id.to_string();
-                    row[14] = service_cycles.to_string();
-                }
-                ShiftEvent::ReqBackpressure { group } => {
-                    row[12] = group.to_string();
-                }
-            }
-            rows.push(row);
-        }
-        rows
-    }
-
-    /// CSV rendering of [`Self::rows`].
-    pub fn to_csv(&self) -> String {
-        to_csv(&self.rows())
-    }
-
-    /// Rows for the serving-layer queue events only, in a narrow
-    /// schema (header included): enqueue/dispatch/complete/backpressure
-    /// with blanks where a kind has no such field.
-    pub fn queue_rows(&self) -> Vec<Vec<String>> {
-        use crate::events::ShiftEvent;
-        let mut rows = vec![vec![
-            "seq".to_string(),
-            "cycle".to_string(),
-            "kind".to_string(),
-            "id".to_string(),
-            "group".to_string(),
-            "queue_delay".to_string(),
-            "service_cycles".to_string(),
-        ]];
-        for e in &self.events {
-            if !e.event.is_queue_event() {
-                continue;
-            }
-            let mut row = vec![
-                e.seq.to_string(),
-                e.cycle.to_string(),
-                e.event.kind().to_string(),
-            ];
-            row.resize(7, String::new());
-            match e.event {
-                ShiftEvent::ReqEnqueued { id, group } => {
-                    row[3] = id.to_string();
-                    row[4] = group.to_string();
-                }
-                ShiftEvent::ReqDispatched {
-                    id,
-                    group,
-                    queue_delay,
-                } => {
-                    row[3] = id.to_string();
-                    row[4] = group.to_string();
-                    row[5] = queue_delay.to_string();
-                }
-                ShiftEvent::ReqCompleted { id, service_cycles } => {
-                    row[3] = id.to_string();
-                    row[6] = service_cycles.to_string();
-                }
-                ShiftEvent::ReqBackpressure { group } => {
-                    row[4] = group.to_string();
-                }
-                _ => unreachable!("filtered to queue events"),
-            }
-            rows.push(row);
-        }
-        rows
-    }
-
-    /// CSV rendering of [`Self::queue_rows`].
+impl TraceSnapshot {
+    /// The serving-layer queue events as CSV (header included):
+    /// enqueue/dispatch/complete/backpressure, with blanks where a kind
+    /// has no such field.
     pub fn queue_csv(&self) -> String {
-        to_csv(&self.queue_rows())
+        const FIELDS: [&str; 4] = ["id", "group", "queue_delay", "service_cycles"];
+        let mut rows = vec![["seq", "cycle", "kind"]
+            .iter()
+            .chain(&FIELDS)
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()];
+        for e in self.events.iter().filter(|e| e.event.is_queue_event()) {
+            let fields = e.event.fields();
+            let mut row = vec![
+                e.seq.to_string(),
+                e.cycle.to_string(),
+                e.event.kind().to_string(),
+            ];
+            row.extend(FIELDS.iter().map(|&f| {
+                fields
+                    .iter()
+                    .find(|(name, _)| *name == f)
+                    .and_then(|(_, v)| v.as_u64())
+                    .map_or(String::new(), |v| v.to_string())
+            }));
+            rows.push(row);
+        }
+        to_csv(&rows)
     }
 }
 
@@ -320,7 +195,7 @@ impl LabeledSnapshot {
 /// children). Lines are sorted by path and zero-valued stacks are
 /// omitted, so equal snapshots render byte-identically and the output
 /// feeds `flamegraph.pl` / speedscope / `inferno` unchanged.
-pub fn folded_stacks(snap: &SpanTraceSnapshot) -> String {
+pub fn folded_stacks(snap: &SpanSnapshot) -> String {
     let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
     for span in &snap.spans {
         let cycles = snap.self_cycles(span);
@@ -341,7 +216,7 @@ pub fn folded_stacks(snap: &SpanTraceSnapshot) -> String {
 /// Renders a span snapshot as Chrome `trace_event` JSON (complete `X`
 /// events; 1 simulated cycle = 1 µs), loadable in `about:tracing` or
 /// Perfetto. Span ids and parents ride along in `args`.
-pub fn chrome_trace(snap: &SpanTraceSnapshot) -> Json {
+pub fn chrome_trace(snap: &SpanSnapshot) -> Json {
     Json::obj(vec![
         ("displayTimeUnit", Json::Str("ns".to_string())),
         (
@@ -381,10 +256,8 @@ pub fn write_json(path: &Path, doc: &Json) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EventTrace, PeccOutcome, ShiftEvent};
-    use crate::labels::LabeledMetrics;
     use crate::metrics::MetricsRegistry;
-    use crate::span::SpanTrace;
+    use crate::trace::{ShiftEvent, Trace};
 
     #[test]
     fn csv_quotes_special_cells() {
@@ -398,7 +271,6 @@ mod tests {
     #[test]
     fn snapshot_csv_has_header_and_all_metrics() {
         let r = MetricsRegistry::new();
-        r.set_enabled(true);
         r.counter_add("shift.count", 9);
         r.gauge_set("energy.pj", 1.25);
         r.observe("lat", 3.0);
@@ -412,28 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn event_csv_round_numbers() {
-        let t = EventTrace::new();
-        t.set_enabled(true);
-        t.record(
-            3,
-            ShiftEvent::PeccVerdict {
-                outcome: PeccOutcome::Corrected(2),
+    fn queue_csv_filters_to_queue_events() {
+        let t = Trace::new();
+        t.record_event(
+            1,
+            ShiftEvent::StsPulse {
+                distance: 2,
+                cycles: 9,
             },
         );
-        let csv = t.snapshot().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[1], "0,3,PeccVerdict,,,,,corrected,2,,,,,,");
-    }
-
-    #[test]
-    fn queue_csv_filters_to_queue_events() {
-        let t = EventTrace::new();
-        t.set_enabled(true);
-        t.record(1, ShiftEvent::BackShift { steps: 2 });
-        t.record(5, ShiftEvent::ReqEnqueued { id: 9, group: 3 });
-        t.record(
+        t.record_event(5, ShiftEvent::ReqEnqueued { id: 9, group: 3 });
+        t.record_event(
             8,
             ShiftEvent::ReqDispatched {
                 id: 9,
@@ -441,39 +302,39 @@ mod tests {
                 queue_delay: 3,
             },
         );
-        t.record(
+        t.record_event(
             20,
             ShiftEvent::ReqCompleted {
                 id: 9,
                 service_cycles: 12,
             },
         );
-        t.record(21, ShiftEvent::ReqBackpressure { group: 3 });
+        t.record_event(21, ShiftEvent::ReqBackpressure { group: 3 });
         let csv = t.snapshot().queue_csv();
         let lines: Vec<&str> = csv.lines().collect();
-        // Header + the four queue events; the BackShift is filtered.
-        assert_eq!(lines.len(), 5);
+        // Header + the four queue events; the StsPulse is filtered.
         assert_eq!(
-            lines[0],
-            "seq,cycle,kind,id,group,queue_delay,service_cycles"
+            lines,
+            [
+                "seq,cycle,kind,id,group,queue_delay,service_cycles",
+                "1,5,ReqEnqueued,9,3,,",
+                "2,8,ReqDispatched,9,3,3,",
+                "3,20,ReqCompleted,9,,,12",
+                "4,21,ReqBackpressure,,3,,",
+            ]
         );
-        assert_eq!(lines[1], "1,5,ReqEnqueued,9,3,,");
-        assert_eq!(lines[2], "2,8,ReqDispatched,9,3,3,");
-        assert_eq!(lines[3], "3,20,ReqCompleted,9,,,12");
-        assert_eq!(lines[4], "4,21,ReqBackpressure,,3,,");
     }
 
-    fn sample_spans() -> SpanTraceSnapshot {
-        let t = SpanTrace::new();
-        t.set_enabled(true);
-        let req = t.record(0, "request", 0, 100);
-        t.record(req, "queue", 0, 30);
-        let d = t.record(req, "dispatch", 30, 95);
-        t.record(d, "plan_shift", 30, 70);
+    fn sample_spans() -> SpanSnapshot {
+        let t = Trace::new();
+        let req = t.record_span(0, "request", 0, 100);
+        t.record_span(req, "queue", 0, 30);
+        let d = t.record_span(req, "dispatch", 30, 95);
+        t.record_span(d, "plan_shift", 30, 70);
         // Second request hitting the same stack shapes.
-        let req2 = t.record(0, "request", 100, 140);
-        t.record(req2, "queue", 100, 110);
-        t.snapshot()
+        let req2 = t.record_span(0, "request", 100, 140);
+        t.record_span(req2, "queue", 100, 110);
+        t.snapshot().spans
     }
 
     #[test]
@@ -494,12 +355,10 @@ mod tests {
 
     #[test]
     fn folded_stacks_omit_zero_frames() {
-        let t = SpanTrace::new();
-        t.set_enabled(true);
-        let a = t.record(0, "outer", 0, 10);
-        t.record(a, "inner", 0, 10); // covers outer fully
-        let folded = folded_stacks(&t.snapshot());
-        assert_eq!(folded, "outer;inner 10\n");
+        let t = Trace::new();
+        let a = t.record_span(0, "outer", 0, 10);
+        t.record_span(a, "inner", 0, 10); // covers outer fully
+        assert_eq!(folded_stacks(&t.snapshot().spans), "outer;inner 10\n");
     }
 
     #[test]
@@ -522,11 +381,10 @@ mod tests {
 
     #[test]
     fn labeled_csv_has_labels_column() {
-        let m = LabeledMetrics::new();
-        m.set_enabled(true);
-        m.counter_add_with("serve.requests", &[("tenant", "0"), ("bank", "2")], 7);
+        let m = MetricsRegistry::new();
+        m.counter_add_labeled("serve.requests", &[("tenant", "0"), ("bank", "2")], 7);
         m.observe_labeled("serve.latency", &[("tenant", "0")], 4.0);
-        let csv = m.snapshot().to_csv();
+        let csv = m.labeled_snapshot().to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("name,labels,type"));

@@ -1,161 +1,194 @@
 //! Unified observability for the `hifi-rtm` workspace.
 //!
-//! Simulation code across the workspace (shift controller, p-ECC
-//! layer, LLC model, Monte-Carlo drivers) emits into one process-wide
-//! [`Observer`] holding:
+//! Observability is scoped to a run. The owner of a run — a binary, a
+//! sweep, a serving simulation — creates an [`Obs`] handle and hands
+//! clones of it to the objects it builds (the hierarchy, the LLC, the
+//! shift controllers). The handle holds at most:
 //!
-//! * a [`metrics::MetricsRegistry`] of named counters, gauges and
-//!   fixed-bucket histograms with p50/p95/p99 summaries;
-//! * a [`labels::LabeledMetrics`] store for metrics keyed on
-//!   `(name, label-set)` — tenant, bank, scheme, policy — with
-//!   per-shard label interning so the hot path stays a hash plus an
-//!   atomic;
-//! * an [`events::EventTrace`] — a bounded ring buffer of
-//!   shift-transaction events ([`events::ShiftEvent`]) with sequence
-//!   numbers and cycle timestamps, so peak memory stays independent of
-//!   run length;
-//! * a [`span::SpanTrace`] — a bounded ring of hierarchical,
+//! * one [`metrics::MetricsRegistry`] of counters, gauges and
+//!   fixed-bucket histograms keyed on `(name, label set)` — a flat
+//!   metric is the empty label set — with p50/p95/p99 summaries;
+//! * one [`trace::Trace`] — bounded windows of hierarchical,
 //!   cycle-stamped spans (`request → dispatch → plan_shift →
-//!   sts_pulse`), exportable as folded stacks (flamegraphs) and Chrome
+//!   sts_pulse`) and of instant shift-transaction events
+//!   ([`trace::ShiftEvent`]), exportable as folded stacks and Chrome
 //!   `trace_event` JSON;
-//! * [`attrib::AttributionTable`] — exact per-cell cycle attribution
-//!   (components sum to the measured total within one cycle);
-//! * [`timer::ScopedTimer`] and [`timer::Progress`] for wall-clock
-//!   phase timing and sweep heartbeats.
+//! * a switch for [`progress::Progress`] heartbeats.
 //!
-//! Everything is **off by default**: a disabled recording call is a
-//! single relaxed atomic load, so instrumentation costs nothing in
-//! uninstrumented runs. The `repro` binary switches recording on when
-//! `--metrics` / `--events` / `--progress` flags are present and
-//! writes machine-readable reports via [`json::Json`] and
+//! Flat and labeled metrics share the one registry, but each has its
+//! own switch ([`Obs::with_metrics`], [`Obs::with_labels`]), so a run
+//! that only wants the labeled per-cell summaries pays nothing for
+//! per-event flat metrics, and the reverse.
+//!
+//! [`attrib::AttributionTable`] adds exact per-cell cycle attribution
+//! (components sum to the measured total within one cycle).
+//!
+//! The default handle records nothing, and checking it is a branch on
+//! a null pointer, so uninstrumented runs pay essentially nothing. Two
+//! runs with different handles never see each other's records, so
+//! concurrent runs and tests are isolated. Counts a run's result
+//! already carries (cache misses, shift steps, p-ECC checks, ...) are
+//! folded into the registry once per run from that result rather than
+//! counted again per event. Reports are written via [`json::Json`] and
 //! [`export::to_csv`] — both implemented here because offline builds
 //! cannot depend on external serialisation crates.
 //!
 //! # Examples
 //!
 //! ```
-//! use rtm_obs::events::{PeccOutcome, ShiftEvent};
+//! use rtm_obs::trace::{PeccOutcome, ShiftEvent};
+//! use rtm_obs::Obs;
 //!
-//! let obs = rtm_obs::global();
-//! obs.registry().set_enabled(true);
-//! obs.trace().set_enabled(true);
+//! let obs = Obs::default().with_metrics(true).with_trace(true);
+//! obs.counter_add("shift.count", 1);
+//! obs.observe("shift.latency_cycles", 18.0);
+//! obs.record_event(7, ShiftEvent::PeccVerdict { outcome: PeccOutcome::Clean });
 //!
-//! obs.registry().counter_add("shift.count", 1);
-//! obs.registry().observe("shift.latency_cycles", 18.0);
-//! obs.trace().record(7, ShiftEvent::PeccVerdict { outcome: PeccOutcome::Clean });
-//!
-//! let snap = obs.registry().snapshot();
+//! let snap = obs.metrics().unwrap().snapshot();
 //! assert_eq!(snap.counter("shift.count"), Some(1));
-//! # obs.registry().set_enabled(false);
-//! # obs.trace().set_enabled(false);
-//! # obs.registry().reset();
-//! # obs.trace().reset();
+//! assert_eq!(obs.trace().unwrap().snapshot().events.len(), 1);
+//!
+//! // The default handle records nothing.
+//! let off = Obs::default();
+//! off.counter_add("shift.count", 1);
+//! assert!(off.metrics().is_none());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attrib;
-pub mod events;
 pub mod export;
 pub mod json;
-pub mod labels;
 pub mod metrics;
-mod ring;
-pub mod span;
-pub mod timer;
+pub mod progress;
+pub mod trace;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
-use events::{EventTrace, ShiftEvent};
-use labels::LabeledMetrics;
 use metrics::MetricsRegistry;
-use span::SpanTrace;
+use progress::Progress;
+use trace::{ShiftEvent, Trace};
 
-/// The process-wide metrics registry, labeled-metric store, event
-/// trace and span trace.
+/// The stores one run records into.
 #[derive(Debug, Default)]
-pub struct Observer {
-    registry: MetricsRegistry,
-    labeled: LabeledMetrics,
-    trace: EventTrace,
-    spans: SpanTrace,
+struct Observer {
+    metrics: Option<MetricsRegistry>,
+    /// Whether flat metrics are recorded into `metrics`.
+    flat: bool,
+    /// Whether labeled metrics are recorded into `metrics`.
+    labeled: bool,
+    trace: Option<Trace>,
+    progress: bool,
 }
 
-impl Observer {
-    /// Creates a fresh, disabled observer (tests use private
-    /// observers; production code shares [`global`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// The labeled-metric store.
-    pub fn labeled(&self) -> &LabeledMetrics {
-        &self.labeled
-    }
-
-    /// The shift-transaction event trace.
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
-    }
-
-    /// The hierarchical span trace.
-    pub fn spans(&self) -> &SpanTrace {
-        &self.spans
-    }
-}
-
-/// The process-wide observer instrumented code emits into.
-pub fn global() -> &'static Observer {
-    static GLOBAL: OnceLock<Observer> = OnceLock::new();
-    GLOBAL.get_or_init(Observer::new)
-}
-
-static PROGRESS: AtomicBool = AtomicBool::new(false);
-
-/// Switches heartbeat progress reporting on or off (off by default);
-/// read by [`timer::Progress`] at construction.
-pub fn set_progress(on: bool) {
-    PROGRESS.store(on, Ordering::Relaxed);
-}
-
-/// Whether heartbeat progress reporting is on.
-pub fn progress_enabled() -> bool {
-    PROGRESS.load(Ordering::Relaxed)
-}
-
-/// Records a shift-transaction event into the global trace.
+/// A cheaply cloned handle to a run's observer.
 ///
-/// Free-function convenience so hot paths need one import; a disabled
-/// trace makes this a single relaxed atomic load.
-pub fn record_event(cycle: u64, event: ShiftEvent) {
-    global().trace().record(cycle, event);
-}
+/// Clones share the same stores. The default handle records nothing.
+/// Configure a handle with the `with_*` methods before cloning it.
+#[derive(Debug, Clone, Default)]
+pub struct Obs(Option<Arc<Observer>>);
 
-/// Adds to a counter in the global registry (no-op while disabled).
-pub fn counter_add(name: &str, delta: u64) {
-    global().registry().counter_add(name, delta);
-}
+impl Obs {
+    fn configure(self, on: bool, f: impl FnOnce(&mut Observer)) -> Self {
+        if !on {
+            return self;
+        }
+        let mut observer = match self.0 {
+            None => Observer::default(),
+            Some(shared) => Arc::try_unwrap(shared).expect("configure an Obs before cloning it"),
+        };
+        f(&mut observer);
+        Obs(Some(Arc::new(observer)))
+    }
 
-/// Records into a default-bucket histogram in the global registry
-/// (no-op while disabled).
-pub fn observe(name: &str, value: f64) {
-    global().registry().observe(name, value);
-}
+    /// This handle with a metrics registry when `on`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `on` and the handle has already been cloned.
+    pub fn with_metrics(self, on: bool) -> Self {
+        self.configure(on, |o| {
+            o.metrics.get_or_insert_with(MetricsRegistry::new);
+            o.flat = true;
+        })
+    }
 
-/// Records a completed span into the global span trace and returns its
-/// id (0 while disabled). Pass [`span::current_parent`] as `parent` to
-/// nest under the enclosing [`span::ParentScope`].
-pub fn record_span(parent: u64, name: &str, start_cycle: u64, end_cycle: u64) -> u64 {
-    global()
-        .spans()
-        .record(parent, name, start_cycle, end_cycle)
+    /// This handle with labeled metrics in its registry when `on`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `on` and the handle has already been cloned.
+    pub fn with_labels(self, on: bool) -> Self {
+        self.configure(on, |o| {
+            o.metrics.get_or_insert_with(MetricsRegistry::new);
+            o.labeled = true;
+        })
+    }
+
+    /// This handle with a span and event trace when `on`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `on` and the handle has already been cloned.
+    pub fn with_trace(self, on: bool) -> Self {
+        self.configure(on, |o| o.trace = Some(Trace::new()))
+    }
+
+    /// This handle with progress heartbeats on stderr when `on`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `on` and the handle has already been cloned.
+    pub fn with_progress(self, on: bool) -> Self {
+        self.configure(on, |o| o.progress = true)
+    }
+
+    /// The run's metrics registry, if it records flat metrics.
+    pub fn metrics(&self) -> Option<&MetricsRegistry> {
+        let observer = self.0.as_ref()?;
+        observer.metrics.as_ref().filter(|_| observer.flat)
+    }
+
+    /// The run's metrics registry, if it records labeled metrics.
+    pub fn labels(&self) -> Option<&MetricsRegistry> {
+        let observer = self.0.as_ref()?;
+        observer.metrics.as_ref().filter(|_| observer.labeled)
+    }
+
+    /// The run's trace, if it records spans and events.
+    pub fn trace(&self) -> Option<&Trace> {
+        self.0.as_ref()?.trace.as_ref()
+    }
+
+    /// A progress reporter for `total` units of work; it prints only
+    /// when this handle has progress heartbeats on.
+    pub fn progress(&self, label: impl Into<String>, total: u64, unit: &'static str) -> Progress {
+        let active = self.0.as_ref().is_some_and(|o| o.progress);
+        Progress::new(label, total, unit, active)
+    }
+
+    /// Adds to a flat counter (no-op without a registry).
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        if let Some(reg) = self.metrics() {
+            reg.counter_add(name, delta);
+        }
+    }
+
+    /// Records into a default-bucket flat histogram (no-op without a
+    /// registry).
+    pub fn observe(&self, name: &str, value: f64) {
+        if let Some(reg) = self.metrics() {
+            reg.observe(name, value);
+        }
+    }
+
+    /// Records an instant event (no-op without a trace).
+    pub fn record_event(&self, cycle: u64, event: ShiftEvent) {
+        if let Some(trace) = self.trace() {
+            trace.record_event(cycle, event);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -163,23 +196,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn global_is_disabled_by_default_and_shared() {
-        let a = global();
-        let b = global();
-        assert!(std::ptr::eq(a, b));
-        // Free functions are no-ops while disabled.
-        counter_add("t.count", 1);
-        observe("t.hist", 1.0);
-        record_event(0, ShiftEvent::BackShift { steps: 1 });
-        assert_eq!(a.registry().snapshot().counter("t.count"), None);
-        assert_eq!(a.trace().snapshot().total, 0);
+    fn default_handle_records_nothing() {
+        let obs = Obs::default();
+        obs.counter_add("t.count", 1);
+        obs.observe("t.hist", 1.0);
+        obs.record_event(0, ShiftEvent::ReqBackpressure { group: 1 });
+        assert!(obs.metrics().is_none());
+        assert!(obs.labels().is_none());
+        assert!(obs.trace().is_none());
     }
 
     #[test]
-    fn progress_flag_toggles() {
-        assert!(!progress_enabled());
-        set_progress(true);
-        assert!(progress_enabled());
-        set_progress(false);
+    fn flat_and_labeled_switches_share_one_registry() {
+        let labels_only = Obs::default().with_labels(true);
+        assert!(labels_only.metrics().is_none());
+        assert!(labels_only.labels().is_some());
+        let both = Obs::default().with_metrics(true).with_labels(true);
+        both.counter_add("t.count", 1);
+        let reg = both.labels().unwrap();
+        reg.counter_add_labeled("t.count", &[("tenant", "0")], 2);
+        assert!(std::ptr::eq(reg, both.metrics().unwrap()));
+        assert_eq!(reg.snapshot().counter("t.count"), Some(1));
+        assert_eq!(reg.labeled_snapshot().entries.len(), 1);
+    }
+
+    #[test]
+    fn clones_share_stores_and_handles_are_isolated() {
+        let a = Obs::default().with_metrics(true);
+        let b = Obs::default().with_metrics(true);
+        let a2 = a.clone();
+        a2.counter_add("t.count", 2);
+        assert_eq!(a.metrics().unwrap().snapshot().counter("t.count"), Some(2));
+        assert_eq!(b.metrics().unwrap().snapshot().counter("t.count"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "before cloning")]
+    fn configuring_a_shared_handle_panics() {
+        let a = Obs::default().with_metrics(true);
+        let _keep = a.clone();
+        let _ = a.with_trace(true);
     }
 }

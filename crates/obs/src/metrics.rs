@@ -1,37 +1,44 @@
-//! A registry of named counters, gauges and fixed-bucket histograms.
+//! The metric store: counters, gauges and fixed-bucket histograms keyed
+//! on `(name, label set)`.
 //!
-//! The registry is designed for hot simulation loops: when disabled
-//! (the default) every recording call is a single relaxed atomic load,
-//! so instrumented code pays essentially nothing in uninstrumented
-//! runs. When enabled, the *read* path is lock-free: the name index is
-//! an [`RcuCell`] snapshot (a sorted `Vec` of `(name, Arc<cell>)`
-//! pairs, binary-searched per call) and every metric cell is plain
-//! atomics, so recording an existing metric takes one atomic pointer
-//! load, a short binary search, and one atomic RMW — no mutex, no
-//! allocation. Only *creating* a metric (first recording under a new
-//! name) serialises on a writer mutex, which copies the index,
-//! inserts, and atomically swaps the new snapshot in.
+//! A flat metric (`"shift.latency_cycles"`) is the empty label set; a
+//! dimensioned one carries explicit labels — `tenant`, `bank`,
+//! `scheme`, `policy`, `workload` — and every combination is kept
+//! separately, so reports can slice along any dimension. Label sets
+//! are canonical: pairs sorted by key, duplicates dropped, so the
+//! order a caller lists them in does not matter.
+//!
+//! Flat metrics take the lock-free path: their name index is an
+//! [`RcuCell`] snapshot (a sorted `Vec` of `(name, Arc<cell>)` pairs,
+//! binary-searched per call) and every metric cell is plain atomics,
+//! so recording an existing metric takes one atomic pointer load, a
+//! short binary search, and one atomic RMW — no mutex, no allocation.
+//! Only *creating* a flat metric serialises on a writer mutex, which
+//! copies the index, inserts, and atomically swaps the new snapshot
+//! in; each retired copy is kept until the registry drops, which is
+//! cheap because flat names number in the tens.
+//!
+//! Labeled metrics are per-run summaries, not per-event
+//! instrumentation, and a run can create thousands of label sets
+//! (one per tenant, bank and cell). They live in a mutex-guarded
+//! ordered map beside the flat index: a recording call canonicalises
+//! its labels and takes the mutex, and creating a key is one map
+//! insertion, so memory stays linear in the number of keys.
 //!
 //! # Orderings audit (multi-worker case)
-//!
-//! `enabled` is loaded and stored with `Relaxed` ordering on purpose:
-//! it is a sampling gate, not a synchronization edge. A worker that
-//! reads a stale `false` skips one recording near the moment the flag
-//! flipped — acceptable, because callers enable recording before
-//! spawning workers and snapshot after joining them.
 //!
 //! The index is published with `Release` and read with `Acquire` (the
 //! `RcuCell` contract), so a reader that finds a cell always sees its
 //! fully initialised state. Cell *updates* are `Relaxed` atomic RMWs:
 //! RMWs cannot lose increments regardless of ordering, and snapshot
 //! visibility is provided by the caller's join edge (the sweep drivers
-//! snapshot after joining their workers), exactly the contract the old
-//! mutex-sharded implementation documented. Gauge/histogram `f64`
-//! state is stored as bit patterns in `AtomicU64` and combined with
-//! compare-exchange loops, so concurrent `gauge_add`/`observe` calls
-//! are lossless too.
+//! snapshot after joining their workers). Gauge/histogram `f64` state
+//! is stored as bit patterns in `AtomicU64` and combined with
+//! compare-exchange loops, so concurrent `observe` calls are lossless
+//! too.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rtm_par::rcu::RcuCell;
@@ -46,70 +53,17 @@ pub const DEFAULT_BUCKETS: [f64; 28] = [
     1.0e9,
 ];
 
-#[derive(Debug, Clone)]
-pub(crate) enum Metric {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(Hist),
-}
+/// A canonical label set: `(key, value)` pairs sorted, no duplicates.
+type Labels = Vec<(String, String)>;
 
-/// Fixed-bucket histogram state: `counts[i]` tallies observations with
-/// `value <= bounds[i]`; the final slot is the overflow bucket.
-#[derive(Debug, Clone)]
-pub(crate) struct Hist {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Hist {
-    pub(crate) fn new(bounds: &[f64]) -> Self {
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub(crate) fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-}
-
-/// Number of independently locked shards in a [`crate::labels::LabeledMetrics`]
-/// registry. Sixteen comfortably exceeds the worker counts the
-/// `rtm-par` pool spawns on typical hosts, so two workers rarely queue
-/// on the same lock.
-pub const SHARD_COUNT: usize = 16;
-
-/// FNV-1a hash of a string (used by the label-set-sharded
-/// [`crate::labels::LabeledMetrics`] to pick a shard).
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+fn canonical(labels: &[(&str, &str)]) -> Labels {
+    let mut pairs: Labels = labels
+        .iter()
+        .map(|&(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    pairs.sort();
+    pairs.dedup();
+    pairs
 }
 
 /// Adds `delta` to an `f64` stored as bits in an `AtomicU64`, losslessly
@@ -143,20 +97,30 @@ fn atomic_f64_extreme(cell: &AtomicU64, value: f64, take: impl Fn(f64, f64) -> b
 /// through an `Arc` so every snapshot generation observes the same
 /// state.
 #[derive(Debug)]
-enum AtomicMetric {
+enum Cell {
     Counter(AtomicU64),
     /// `f64` bits.
     Gauge(AtomicU64),
     Histogram(AtomicHist),
 }
 
-/// Lock-free histogram state mirroring [`Hist`]: bucket tallies and
-/// moments as atomics, `f64` moments as bit patterns.
+impl Cell {
+    fn value(&self) -> MetricValue {
+        match self {
+            Cell::Counter(v) => MetricValue::Counter(v.load(Ordering::Relaxed)),
+            Cell::Gauge(v) => MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed))),
+            Cell::Histogram(h) => MetricValue::Histogram(h.summary()),
+        }
+    }
+}
+
+/// Lock-free histogram state: `counts[i]` tallies observations with
+/// `value <= bounds[i]`, the final slot is the overflow bucket, and the
+/// `f64` moments are bit patterns.
 #[derive(Debug)]
 struct AtomicHist {
     bounds: Vec<f64>,
     counts: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -171,7 +135,6 @@ impl AtomicHist {
         Self {
             bounds: bounds.to_vec(),
             counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0.0f64.to_bits()),
             min: AtomicU64::new(f64::INFINITY.to_bits()),
             max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
@@ -185,101 +148,93 @@ impl AtomicHist {
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         atomic_f64_add(&self.sum, value);
         atomic_f64_extreme(&self.min, value, |v, cur| v < cur);
         atomic_f64_extreme(&self.max, value, |v, cur| v > cur);
     }
 
-    /// Materialises the current state as a plain [`Hist`] for the
-    /// shared summarisation code.
-    fn to_hist(&self) -> Hist {
-        Hist {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: f64::from_bits(self.sum.load(Ordering::Relaxed)),
-            min: f64::from_bits(self.min.load(Ordering::Relaxed)),
-            max: f64::from_bits(self.max.load(Ordering::Relaxed)),
-        }
+    fn summary(&self) -> HistogramSummary {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        summarise(
+            &self.bounds,
+            &self.counts.iter().map(load).collect::<Vec<_>>(),
+            f64::from_bits(load(&self.sum)),
+            f64::from_bits(load(&self.min)),
+            f64::from_bits(load(&self.max)),
+        )
     }
 }
 
-/// The registry's name index: `(name, cell)` pairs sorted by name so
+/// The flat-metric index: `(name, cell)` pairs sorted by name, so
 /// lookups are a binary search and snapshots need no extra sort.
-type MetricIndex = Vec<(String, Arc<AtomicMetric>)>;
+type MetricIndex = Vec<(String, Arc<Cell>)>;
 
-/// A registry of named metrics.
+/// The metric store (see the module docs for keys and cost model).
 ///
-/// Names are free-form dotted strings (`"shift.latency_cycles"`). A
-/// name keeps the kind of its first recording; recording a different
-/// kind under the same name is ignored rather than panicking, so
+/// Names are free-form dotted strings (`"shift.latency_cycles"`). A key
+/// keeps the kind of its first recording; recording a different kind
+/// under the same key is ignored rather than panicking, so
 /// instrumentation can never take a simulation down.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: AtomicBool,
-    /// Read-mostly snapshot of the name index; recording threads read
-    /// it lock-free, creation swaps in a copy under `writer`.
+    /// Read-mostly snapshot of the flat-metric index; recording threads
+    /// read it lock-free, creation swaps in a copy under `writer`.
     index: RcuCell<MetricIndex>,
-    /// Serialises metric creation and `reset` (never held on the
-    /// recording fast path).
+    /// Serialises flat-metric creation (never held on the recording
+    /// fast path).
     writer: Mutex<()>,
+    /// Labeled metrics keyed on `(name, canonical label set)`.
+    labeled: Mutex<BTreeMap<(String, Labels), Cell>>,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
         Self {
-            enabled: AtomicBool::new(false),
             index: RcuCell::new(Vec::new()),
             writer: Mutex::new(()),
+            labeled: Mutex::new(BTreeMap::new()),
         }
     }
 }
 
 impl MetricsRegistry {
-    /// Creates an empty, disabled registry.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Turns recording on or off. Off is the default; disabled
-    /// recording calls cost one relaxed atomic load.
-    pub fn set_enabled(&self, on: bool) {
-        // Relaxed: a sampling gate, not a synchronization edge (see the
-        // module-level orderings audit).
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is currently enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Runs `op` on the cell registered under `name`, creating it with
-    /// `make` first if absent. The hit path is lock-free: one index
-    /// load plus a binary search. The miss path takes the writer
-    /// mutex, re-checks (another thread may have created the metric
-    /// meanwhile), then publishes a copied index with the new entry.
+    /// Runs `op` on the cell registered under `(name, labels)`,
+    /// creating it with `make` first if absent. A flat metric (no
+    /// labels) is found lock-free: one index load plus a binary search.
+    /// Its miss path takes the writer mutex, re-checks (another thread
+    /// may have created the metric meanwhile), then publishes a copied
+    /// index with the new entry. A labeled metric is found or inserted
+    /// under the labeled map's mutex.
     fn with_cell(
         &self,
         name: &str,
-        make: impl FnOnce() -> AtomicMetric,
-        op: impl Fn(&AtomicMetric),
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Cell,
+        op: impl Fn(&Cell),
     ) {
+        if !labels.is_empty() {
+            let mut labeled = self.labeled.lock().expect("metrics registry poisoned");
+            op(labeled
+                .entry((name.to_string(), canonical(labels)))
+                .or_insert_with(make));
+            return;
+        }
+        let find = |index: &MetricIndex| index.binary_search_by(|(n, _)| n.as_str().cmp(name));
         {
             let index = self.index.read();
-            if let Ok(i) = index.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+            if let Ok(i) = find(index) {
                 op(&index[i].1);
                 return;
             }
         }
         let _writer = self.writer.lock().expect("metrics registry poisoned");
         let index = self.index.read();
-        match index.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+        match find(index) {
             Ok(i) => op(&index[i].1),
             Err(pos) => {
                 let cell = Arc::new(make());
@@ -291,16 +246,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds `delta` to the counter `name`, creating it at zero first.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        if !self.enabled() {
-            return;
-        }
+    fn count(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         self.with_cell(
             name,
-            || AtomicMetric::Counter(AtomicU64::new(0)),
+            labels,
+            || Cell::Counter(AtomicU64::new(0)),
             |cell| match cell {
-                AtomicMetric::Counter(v) => {
+                Cell::Counter(v) => {
                     v.fetch_add(delta, Ordering::Relaxed);
                 }
                 _ => debug_assert!(false, "metric {name} is not a counter"),
@@ -308,109 +260,128 @@ impl MetricsRegistry {
         );
     }
 
-    /// Sets the gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if !self.enabled() {
-            return;
-        }
+    fn set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.with_cell(
             name,
-            || AtomicMetric::Gauge(AtomicU64::new(0.0f64.to_bits())),
+            labels,
+            || Cell::Gauge(AtomicU64::new(0.0f64.to_bits())),
             |cell| match cell {
-                AtomicMetric::Gauge(v) => v.store(value.to_bits(), Ordering::Relaxed),
+                Cell::Gauge(v) => v.store(value.to_bits(), Ordering::Relaxed),
                 _ => debug_assert!(false, "metric {name} is not a gauge"),
             },
         );
     }
 
-    /// Adds `delta` to the gauge `name`, creating it at zero first.
-    pub fn gauge_add(&self, name: &str, delta: f64) {
-        if !self.enabled() {
-            return;
-        }
+    fn record(&self, name: &str, labels: &[(&str, &str)], value: f64, bounds: &[f64]) {
         self.with_cell(
             name,
-            || AtomicMetric::Gauge(AtomicU64::new(0.0f64.to_bits())),
+            labels,
+            || Cell::Histogram(AtomicHist::new(bounds)),
             |cell| match cell {
-                AtomicMetric::Gauge(v) => atomic_f64_add(v, delta),
-                _ => debug_assert!(false, "metric {name} is not a gauge"),
+                Cell::Histogram(h) => h.observe(value),
+                _ => debug_assert!(false, "metric {name} is not a histogram"),
             },
         );
+    }
+
+    /// Adds `delta` to the counter `name`, creating it at zero first.
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        self.count(name, &[], delta);
+    }
+
+    /// Folds a per-run count into counter `name`: adds `n` when it is
+    /// non-zero, so the counter exists only if the run counted
+    /// something — the same registry per-event counting would leave.
+    pub fn fold_count(&self, name: &str, n: u64) {
+        if n > 0 {
+            self.counter_add(name, n);
+        }
+    }
+
+    /// Sets the gauge `name` to `value`.
+    pub fn gauge_set(&self, name: &str, value: f64) {
+        self.set(name, &[], value);
     }
 
     /// Records `value` into the histogram `name` with the
     /// [`DEFAULT_BUCKETS`] layout.
     pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, value, &DEFAULT_BUCKETS);
+        self.record(name, &[], value, &DEFAULT_BUCKETS);
     }
 
     /// Records `value` into the histogram `name`, creating it with the
     /// given strictly increasing bucket upper bounds on first use.
     /// Later calls reuse the existing layout.
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
-        if !self.enabled() {
-            return;
-        }
-        self.with_cell(
-            name,
-            || AtomicMetric::Histogram(AtomicHist::new(bounds)),
-            |cell| match cell {
-                AtomicMetric::Histogram(h) => h.observe(value),
-                _ => debug_assert!(false, "metric {name} is not a histogram"),
-            },
-        );
+        self.record(name, &[], value, bounds);
     }
 
-    /// Removes every metric (the enabled flag is untouched).
-    pub fn reset(&self) {
-        let _writer = self.writer.lock().expect("metrics registry poisoned");
-        self.index.replace(Vec::new());
+    /// Adds `delta` to counter `name` under a label set.
+    pub fn counter_add_labeled(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
+        self.count(name, labels, delta);
     }
 
-    /// A copy of every metric, sorted by name. The index snapshot is
-    /// a consistent set of *cells*, but cell values are read with
-    /// relaxed loads — take snapshots when no workers are recording
-    /// (the sweep drivers snapshot after joining) if the copy must be
-    /// a single consistent cut across all metrics.
+    /// Sets gauge `name` under a label set.
+    pub fn gauge_set_labeled(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.set(name, labels, value);
+    }
+
+    /// Records `value` into histogram `name` under a label set, with the
+    /// [`DEFAULT_BUCKETS`] layout.
+    pub fn observe_labeled(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.record(name, labels, value, &DEFAULT_BUCKETS);
+    }
+
+    /// A copy of every flat metric, sorted by name. Cell values are
+    /// read with relaxed loads — take snapshots when no workers are
+    /// recording if the copy must be one consistent cut.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let index = self.index.read();
-        let metrics = index
+        let metrics = self
+            .index
+            .read()
             .iter()
             .map(|(name, cell)| MetricSnapshot {
                 name: name.clone(),
-                value: match &**cell {
-                    AtomicMetric::Counter(v) => MetricValue::Counter(v.load(Ordering::Relaxed)),
-                    AtomicMetric::Gauge(v) => {
-                        MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed)))
-                    }
-                    AtomicMetric::Histogram(h) => MetricValue::Histogram(summarise(&h.to_hist())),
-                },
+                value: cell.value(),
             })
             .collect();
         RegistrySnapshot { metrics }
     }
+
+    /// A copy of every labeled metric, sorted by `(name, labels)`.
+    pub fn labeled_snapshot(&self) -> LabeledSnapshot {
+        let entries = self
+            .labeled
+            .lock()
+            .expect("metrics registry poisoned")
+            .iter()
+            .map(|((name, labels), cell)| LabeledMetricSnapshot {
+                name: name.clone(),
+                labels: labels.clone(),
+                value: cell.value(),
+            })
+            .collect();
+        LabeledSnapshot { entries }
+    }
 }
 
-pub(crate) fn summarise(h: &Hist) -> HistogramSummary {
-    let (min, max) = if h.count == 0 {
-        (0.0, 0.0)
-    } else {
-        (h.min, h.max)
-    };
+fn summarise(bounds: &[f64], counts: &[u64], sum: f64, min: f64, max: f64) -> HistogramSummary {
+    let count: u64 = counts.iter().sum();
+    let (min, max) = if count == 0 { (0.0, 0.0) } else { (min, max) };
+    let q = |q| bucket_quantile(bounds, counts, count, min, max, q);
     HistogramSummary {
-        count: h.count,
-        sum: h.sum,
+        count,
+        sum,
         min,
         max,
-        p50: bucket_quantile(h, 0.50),
-        p95: bucket_quantile(h, 0.95),
-        p99: bucket_quantile(h, 0.99),
-        buckets: h
-            .bounds
+        p50: q(0.50),
+        p95: q(0.95),
+        p99: q(0.99),
+        buckets: bounds
             .iter()
             .copied()
             .chain(std::iter::once(f64::INFINITY))
-            .zip(h.counts.iter().copied())
+            .zip(counts.iter().copied())
             .collect(),
     }
 }
@@ -430,35 +401,27 @@ pub(crate) fn summarise(h: &Hist) -> HistogramSummary {
 /// These match the *nearest-rank* convention used for exact sample
 /// vectors (see [`nearest_rank`]): both report an actually observed
 /// value for degenerate inputs rather than an interpolated one.
-fn bucket_quantile(h: &Hist, q: f64) -> f64 {
-    if h.count == 0 {
+fn bucket_quantile(bounds: &[f64], counts: &[u64], count: u64, min: f64, max: f64, q: f64) -> f64 {
+    if count == 0 {
         return 0.0;
     }
-    let rank = q * h.count as f64;
+    let rank = q * count as f64;
     let mut cumulative = 0u64;
-    for (i, &c) in h.counts.iter().enumerate() {
+    for (i, &c) in counts.iter().enumerate() {
         if c == 0 {
             continue;
         }
         let next = cumulative + c;
         if next as f64 >= rank {
-            let lower = if i == 0 {
-                h.min.min(0.0)
-            } else {
-                h.bounds[i - 1]
-            };
-            let upper = if i < h.bounds.len() {
-                h.bounds[i]
-            } else {
-                h.max
-            };
+            let lower = if i == 0 { min.min(0.0) } else { bounds[i - 1] };
+            let upper = if i < bounds.len() { bounds[i] } else { max };
             let frac = (rank - cumulative as f64) / c as f64;
             let est = lower + frac * (upper - lower);
-            return est.clamp(h.min, h.max);
+            return est.clamp(min, max);
         }
         cumulative = next;
     }
-    h.max
+    max
 }
 
 /// Exact nearest-rank percentile over a **sorted** sample slice:
@@ -544,7 +507,7 @@ impl HistogramSummary {
     }
 }
 
-/// A point-in-time copy of a whole registry, sorted by metric name.
+/// A point-in-time copy of a registry's flat metrics, sorted by name.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
     /// All metrics, sorted by name.
@@ -584,88 +547,6 @@ impl RegistrySnapshot {
         }
     }
 
-    /// Merges counters by addition, gauges by taking `other`'s value,
-    /// and histograms bucket-wise (layouts must match; mismatched
-    /// layouts keep `self`'s entry). Used to aggregate per-cell
-    /// snapshots into a sweep-level report.
-    pub fn absorb(&mut self, other: &RegistrySnapshot) {
-        for theirs in &other.metrics {
-            match self.metrics.iter_mut().find(|m| m.name == theirs.name) {
-                None => self.metrics.push(theirs.clone()),
-                Some(mine) => match (&mut mine.value, &theirs.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = *b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
-                        merge_histograms(a, b);
-                    }
-                    _ => {}
-                },
-            }
-        }
-        self.metrics.sort_by(|a, b| a.name.cmp(&b.name));
-    }
-}
-
-pub(crate) fn merge_histograms(a: &mut HistogramSummary, b: &HistogramSummary) {
-    if b.count == 0 {
-        return;
-    }
-    let layouts_match = a.buckets.len() == b.buckets.len()
-        && a.buckets
-            .iter()
-            .zip(&b.buckets)
-            .all(|((ba, _), (bb, _))| ba == bb || (ba.is_infinite() && bb.is_infinite()));
-    if !layouts_match {
-        return;
-    }
-    if a.count == 0 {
-        *a = b.clone();
-        return;
-    }
-    for ((_, ca), (_, cb)) in a.buckets.iter_mut().zip(&b.buckets) {
-        *ca += cb;
-    }
-    a.count += b.count;
-    a.sum += b.sum;
-    a.min = a.min.min(b.min);
-    a.max = a.max.max(b.max);
-    // Re-derive quantiles from the merged buckets.
-    let bounds: Vec<f64> = a
-        .buckets
-        .iter()
-        .map(|&(b, _)| b)
-        .filter(|b| b.is_finite())
-        .collect();
-    let merged = Hist {
-        counts: a.buckets.iter().map(|&(_, c)| c).collect(),
-        bounds,
-        count: a.count,
-        sum: a.sum,
-        min: a.min,
-        max: a.max,
-    };
-    a.p50 = bucket_quantile(&merged, 0.50);
-    a.p95 = bucket_quantile(&merged, 0.95);
-    a.p99 = bucket_quantile(&merged, 0.99);
-}
-
-fn bound_to_json(b: f64) -> Json {
-    if b.is_infinite() {
-        Json::Str("inf".to_string())
-    } else {
-        Json::Num(b)
-    }
-}
-
-fn bound_from_json(j: &Json) -> Option<f64> {
-    match j {
-        Json::Str(s) if s == "inf" => Some(f64::INFINITY),
-        Json::Num(v) => Some(*v),
-        _ => None,
-    }
-}
-
-impl RegistrySnapshot {
     /// Encodes the snapshot as a JSON object keyed by metric name.
     pub fn to_json(&self) -> Json {
         Json::Obj(
@@ -693,7 +574,97 @@ impl RegistrySnapshot {
     }
 }
 
-pub(crate) fn metric_to_json(value: &MetricValue) -> Json {
+/// A point-in-time copy of one labeled metric.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LabeledMetricSnapshot {
+    /// The metric's registered name.
+    pub name: String,
+    /// Sorted `(key, value)` label pairs.
+    pub labels: Vec<(String, String)>,
+    /// Its value at snapshot time.
+    pub value: MetricValue,
+}
+
+impl LabeledMetricSnapshot {
+    /// The labels as a compact `k=v;k=v` string (CSV-friendly).
+    pub fn label_string(&self) -> String {
+        self.labels
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect::<Vec<_>>()
+            .join(";")
+    }
+}
+
+/// A copy of a registry's labeled metrics, sorted by `(name, labels)`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LabeledSnapshot {
+    /// All labeled metrics, sorted by `(name, labels)`.
+    pub entries: Vec<LabeledMetricSnapshot>,
+}
+
+impl LabeledSnapshot {
+    /// Looks up a metric by name and label set (any pair order).
+    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+        let labels = canonical(labels);
+        self.entries
+            .iter()
+            .find(|e| e.name == name && e.labels == labels)
+            .map(|e| &e.value)
+    }
+
+    /// The value of counter `name` under `labels`, if present.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
+        match self.get(name, labels) {
+            Some(MetricValue::Counter(v)) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Every entry of metric `name`, in label order.
+    pub fn series(&self, name: &str) -> Vec<&LabeledMetricSnapshot> {
+        self.entries.iter().filter(|e| e.name == name).collect()
+    }
+
+    /// Encodes the snapshot as a JSON array of labeled metrics.
+    pub fn to_json(&self) -> Json {
+        Json::Arr(
+            self.entries
+                .iter()
+                .map(|e| {
+                    let labels = e
+                        .labels
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                        .collect();
+                    Json::obj(vec![
+                        ("name", Json::Str(e.name.clone())),
+                        ("labels", Json::Obj(labels)),
+                        ("value", metric_to_json(&e.value)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+}
+
+fn bound_to_json(b: f64) -> Json {
+    if b.is_infinite() {
+        Json::Str("inf".to_string())
+    } else {
+        Json::Num(b)
+    }
+}
+
+fn bound_from_json(j: &Json) -> Option<f64> {
+    match j {
+        Json::Str(s) if s == "inf" => Some(f64::INFINITY),
+        Json::Num(v) => Some(*v),
+        _ => None,
+    }
+}
+
+fn metric_to_json(value: &MetricValue) -> Json {
     match value {
         MetricValue::Counter(v) => Json::obj(vec![
             ("type", Json::Str("counter".into())),
@@ -730,7 +701,7 @@ pub(crate) fn metric_to_json(value: &MetricValue) -> Json {
     }
 }
 
-pub(crate) fn metric_from_json(doc: &Json) -> Option<MetricValue> {
+fn metric_from_json(doc: &Json) -> Option<MetricValue> {
     match doc.get("type")?.as_str()? {
         "counter" => Some(MetricValue::Counter(doc.get("value")?.as_u64()?)),
         "gauge" => Some(MetricValue::Gauge(doc.get("value")?.as_f64()?)),
@@ -761,38 +732,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
+    fn counters_and_gauges_accumulate() {
         let r = MetricsRegistry::new();
-        r.counter_add("c", 5);
-        r.gauge_set("g", 1.0);
-        r.observe("h", 3.0);
-        assert!(r.snapshot().metrics.is_empty());
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
         r.counter_add("shift.count", 3);
         r.counter_add("shift.count", 4);
-        assert_eq!(r.snapshot().counter("shift.count"), Some(7));
-    }
-
-    #[test]
-    fn gauge_set_and_add() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
         r.gauge_set("energy.pj", 10.0);
         r.gauge_set("energy.pj", 4.0);
-        assert_eq!(r.snapshot().gauge("energy.pj"), Some(4.0));
-        r.gauge_add("energy.pj", 1.5);
-        assert_eq!(r.snapshot().gauge("energy.pj"), Some(5.5));
+        r.fold_count("shift.count", 2);
+        r.fold_count("llc.misses", 0);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("shift.count"), Some(9));
+        assert_eq!(snap.gauge("energy.pj"), Some(4.0));
+        assert_eq!(
+            snap.counter("llc.misses"),
+            None,
+            "a zero fold creates nothing"
+        );
     }
 
     #[test]
     fn histogram_counts_and_moments() {
         let r = MetricsRegistry::new();
-        r.set_enabled(true);
         for v in [1.0, 2.0, 3.0, 100.0] {
             r.observe("lat", v);
         }
@@ -800,8 +760,7 @@ mod tests {
         let h = snap.histogram("lat").expect("histogram");
         assert_eq!(h.count, 4);
         assert!((h.sum - 106.0).abs() < 1e-12);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 100.0);
+        assert_eq!((h.min, h.max), (1.0, 100.0));
         assert!((h.mean() - 26.5).abs() < 1e-12);
         let total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 4);
@@ -811,7 +770,6 @@ mod tests {
     #[test]
     fn quantiles_are_ordered_and_within_range() {
         let r = MetricsRegistry::new();
-        r.set_enabled(true);
         for i in 0..1000 {
             r.observe("lat", (i % 97) as f64 + 1.0);
         }
@@ -823,23 +781,10 @@ mod tests {
     }
 
     #[test]
-    fn quantile_exact_for_point_mass() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
-        for _ in 0..50 {
-            r.observe("lat", 42.0);
-        }
-        let snap = r.snapshot();
-        let h = snap.histogram("lat").expect("histogram");
-        assert_eq!(h.p50, 42.0);
-        assert_eq!(h.p99, 42.0);
-    }
-
-    #[test]
     fn quantiles_of_empty_histogram_are_zero() {
         // Pinned edge case: an empty histogram reports 0.0 for every
         // summary field rather than NaN or an interpolation artefact.
-        let h = summarise(&Hist::new(&DEFAULT_BUCKETS));
+        let h = AtomicHist::new(&DEFAULT_BUCKETS).summary();
         assert_eq!(h.count, 0);
         assert_eq!((h.min, h.max), (0.0, 0.0));
         assert_eq!((h.p50, h.p95, h.p99), (0.0, 0.0, 0.0));
@@ -847,17 +792,21 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_of_single_sample_are_exact() {
-        // Pinned edge case: with one observation, every quantile is
-        // that observation — the [min, max] clamp collapses the
-        // in-bucket interpolation to the exact value.
+    fn quantiles_of_single_sample_and_point_mass_are_exact() {
+        // Pinned edge case: with one observation (or many equal ones),
+        // every quantile is that value — the [min, max] clamp collapses
+        // the in-bucket interpolation to the exact value.
         for v in [0.0, 1.0, 3.7, 42.0, 1.5e8, 9.9e9] {
-            let mut hist = Hist::new(&DEFAULT_BUCKETS);
-            hist.observe(v);
-            let h = summarise(&hist);
-            assert_eq!(h.count, 1);
-            assert_eq!((h.min, h.max), (v, v));
-            assert_eq!((h.p50, h.p95, h.p99), (v, v, v), "value {v}");
+            for n in [1, 50] {
+                let hist = AtomicHist::new(&DEFAULT_BUCKETS);
+                for _ in 0..n {
+                    hist.observe(v);
+                }
+                let h = hist.summary();
+                assert_eq!(h.count, n);
+                assert_eq!((h.min, h.max), (v, v));
+                assert_eq!((h.p50, h.p95, h.p99), (v, v, v), "value {v}");
+            }
         }
     }
 
@@ -885,7 +834,6 @@ mod tests {
     #[test]
     fn custom_buckets_are_kept() {
         let r = MetricsRegistry::new();
-        r.set_enabled(true);
         r.observe_with("d", 3.0, &[1.0, 4.0, 9.0]);
         r.observe_with("d", 100.0, &[1.0, 4.0, 9.0]);
         let snap = r.snapshot();
@@ -896,44 +844,18 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_metrics() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
-        r.counter_add("c", 1);
-        r.reset();
-        assert!(r.snapshot().metrics.is_empty());
-        assert!(r.enabled(), "reset keeps the enabled flag");
-    }
-
-    #[test]
-    fn snapshot_json_round_trip() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
-        r.counter_add("a.count", 12);
-        r.gauge_set("b.level", -2.5);
-        for v in [1.0, 7.0, 7.0, 30.0] {
-            r.observe("c.hist", v);
-        }
-        let snap = r.snapshot();
-        let doc = snap.to_json();
-        let text = doc.pretty();
-        let parsed = Json::parse(&text).expect("parse");
-        let back = RegistrySnapshot::from_json(&parsed).expect("decode");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
     fn concurrent_updates_are_lossless() {
         let r = MetricsRegistry::new();
-        r.set_enabled(true);
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let r = &r;
                 scope.spawn(move || {
+                    let tenant = t.to_string();
                     for i in 0..1_000u64 {
                         r.counter_add("shared.count", 1);
                         r.counter_add(&format!("worker{t}.count"), 1);
                         r.observe("shared.hist", (i % 10) as f64);
+                        r.counter_add_labeled("req", &[("tenant", &tenant)], 1);
                     }
                 });
             }
@@ -944,14 +866,17 @@ mod tests {
             assert_eq!(snap.counter(&format!("worker{t}.count")), Some(1_000));
         }
         assert_eq!(snap.histogram("shared.hist").expect("hist").count, 8_000);
+        let labeled = r.labeled_snapshot();
+        for t in 0..8 {
+            let tenant = t.to_string();
+            assert_eq!(labeled.counter("req", &[("tenant", &tenant)]), Some(1_000));
+        }
     }
 
     #[test]
-    fn snapshot_is_sorted_across_shards() {
+    fn snapshot_is_sorted() {
         let r = MetricsRegistry::new();
-        r.set_enabled(true);
-        // Enough names to land in many different shards.
-        for i in 0..100 {
+        for i in (0..100).rev() {
             r.counter_add(&format!("m{i:03}"), i);
         }
         let snap = r.snapshot();
@@ -963,23 +888,79 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_counters_and_histograms() {
-        let r1 = MetricsRegistry::new();
-        r1.set_enabled(true);
-        r1.counter_add("c", 2);
-        r1.observe("h", 1.0);
-        let r2 = MetricsRegistry::new();
-        r2.set_enabled(true);
-        r2.counter_add("c", 3);
-        r2.observe("h", 9.0);
-        r2.counter_add("only2", 1);
-        let mut total = r1.snapshot();
-        total.absorb(&r2.snapshot());
-        assert_eq!(total.counter("c"), Some(5));
-        assert_eq!(total.counter("only2"), Some(1));
-        let h = total.histogram("h").expect("histogram");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 9.0);
+    fn flat_and_labeled_metrics_share_the_store_but_not_the_views() {
+        let r = MetricsRegistry::new();
+        r.counter_add("serve.requests", 1);
+        r.counter_add_labeled("serve.requests", &[("tenant", "0")], 3);
+        assert_eq!(r.snapshot().metrics.len(), 1);
+        assert_eq!(r.snapshot().counter("serve.requests"), Some(1));
+        let labeled = r.labeled_snapshot();
+        assert_eq!(labeled.entries.len(), 1);
+        assert_eq!(
+            labeled.counter("serve.requests", &[("tenant", "0")]),
+            Some(3)
+        );
+    }
+
+    #[test]
+    fn labeled_keys_stay_out_of_the_flat_index() {
+        // The flat index retains one copy per flat creation until the
+        // registry drops; labeled keys must not add to it, or a run
+        // with thousands of label sets retains a quadratic number of
+        // entries.
+        let r = MetricsRegistry::new();
+        r.counter_add("serve.requests", 1);
+        for tenant in 0..4_000 {
+            let t = tenant.to_string();
+            r.counter_add_labeled("serve.requests", &[("tenant", &t)], 1);
+            r.gauge_set_labeled("serve.p99", &[("tenant", &t)], 1.0);
+        }
+        assert_eq!(r.index.read().len(), 1);
+        assert_eq!(r.labeled.lock().unwrap().len(), 8_000);
+        assert_eq!(r.labeled_snapshot().entries.len(), 8_000);
+    }
+
+    #[test]
+    fn label_sets_are_canonical() {
+        let r = MetricsRegistry::new();
+        r.counter_add_labeled("c", &[("tenant", "0"), ("bank", "3")], 1);
+        r.counter_add_labeled("c", &[("bank", "3"), ("tenant", "0"), ("bank", "3")], 1);
+        // "ab"+"c" must not collide with "a"+"bc".
+        r.counter_add_labeled("c", &[("ab", "c")], 1);
+        r.counter_add_labeled("c", &[("a", "bc")], 1);
+        let snap = r.labeled_snapshot();
+        assert_eq!(snap.entries.len(), 3);
+        assert_eq!(
+            snap.counter("c", &[("bank", "3"), ("tenant", "0")]),
+            Some(2)
+        );
+        assert_eq!(
+            snap.counter("c", &[("tenant", "0"), ("bank", "3")]),
+            Some(2)
+        );
+        assert_eq!(snap.series("c").len(), 3);
+        let keys: Vec<String> = snap.entries.iter().map(|e| e.label_string()).collect();
+        assert_eq!(keys, ["a=bc", "ab=c", "bank=3;tenant=0"]);
+    }
+
+    #[test]
+    fn snapshot_json_round_trip_and_labeled_export() {
+        let r = MetricsRegistry::new();
+        r.counter_add("a.count", 12);
+        r.gauge_set("b.level", -2.5);
+        for v in [1.0, 7.0, 7.0, 30.0] {
+            r.observe("c.hist", v);
+        }
+        r.gauge_set_labeled("bank.busy_frac", &[("bank", "5")], 0.25);
+        r.observe_labeled("serve.latency", &[("tenant", "1")], 33.0);
+        let snap = r.snapshot();
+        let parsed = Json::parse(&snap.to_json().pretty()).expect("parse");
+        assert_eq!(RegistrySnapshot::from_json(&parsed), Some(snap));
+        let labeled = r.labeled_snapshot().to_json().to_string();
+        let expected = concat!(
+            r#"[{"name":"bank.busy_frac","labels":{"bank":"5"},"value":{"type":"gauge","value":0.25}},"#,
+            r#"{"name":"serve.latency","labels":{"tenant":"1"},"value":{"type":"histogram","count":1,"#,
+        );
+        assert!(labeled.starts_with(expected), "{labeled}");
     }
 }

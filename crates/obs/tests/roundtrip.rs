@@ -3,12 +3,10 @@
 //! obey the attribution invariants the profiler reports rely on.
 
 use rtm_obs::attrib::AttributionTable;
-use rtm_obs::events::{EventTrace, EventTraceSnapshot, PeccOutcome, ShiftEvent};
 use rtm_obs::export::{chrome_trace, folded_stacks};
 use rtm_obs::json::Json;
-use rtm_obs::labels::{LabeledMetrics, LabeledSnapshot};
 use rtm_obs::metrics::{MetricsRegistry, RegistrySnapshot};
-use rtm_obs::span::{SpanTrace, SpanTraceSnapshot};
+use rtm_obs::trace::{PeccOutcome, ShiftEvent, SpanSnapshot, Trace};
 
 /// export → parse → re-export must be byte-identical: the pretty
 /// printer is deterministic and the parser loses nothing.
@@ -24,43 +22,37 @@ fn assert_json_stable(doc: &Json) {
 
 fn populated_registry() -> MetricsRegistry {
     let r = MetricsRegistry::new();
-    r.set_enabled(true);
     r.counter_add("shift.count", 41);
     r.gauge_set("energy.pj", 2.625);
     for v in [1.0, 3.0, 250.0, 9.5] {
         r.observe("shift.latency", v);
     }
-    r
-}
-
-fn populated_labeled() -> LabeledMetrics {
-    let m = LabeledMetrics::new();
-    m.set_enabled(true);
     for tenant in 0..3 {
         let t = tenant.to_string();
-        m.counter_add_with(
+        r.counter_add_labeled(
             "serve.requests",
             &[("tenant", &t), ("scheme", "p-ECC-S")],
             10 + tenant,
         );
-        m.observe_labeled(
+        r.observe_labeled(
             "serve.latency",
             &[("tenant", &t)],
             12.0 * (tenant + 1) as f64,
         );
     }
-    m.gauge_set_with(
+    r.gauge_set_labeled(
         "bank.busy_frac",
         &[("bank", "3"), ("policy", "shift-aware")],
         0.375,
     );
-    m
+    r
 }
 
-fn populated_events() -> EventTrace {
-    let t = EventTrace::new();
-    t.set_enabled(true);
-    t.record(
+/// Instant events plus a two-request span forest exercising nesting,
+/// siblings and roots.
+fn populated_trace() -> Trace {
+    let t = Trace::new();
+    t.record_event(
         1,
         ShiftEvent::ShiftPlanned {
             distance: 32,
@@ -68,21 +60,20 @@ fn populated_events() -> EventTrace {
             latency_cycles: 18,
         },
     );
-    t.record(
+    t.record_event(
         3,
         ShiftEvent::StsPulse {
             distance: 16,
             cycles: 9,
         },
     );
-    t.record(
+    t.record_event(
         12,
         ShiftEvent::PeccVerdict {
             outcome: PeccOutcome::Corrected(1),
         },
     );
-    t.record(13, ShiftEvent::BackShift { steps: 1 });
-    t.record(
+    t.record_event(
         20,
         ShiftEvent::ReqDispatched {
             id: 7,
@@ -90,24 +81,21 @@ fn populated_events() -> EventTrace {
             queue_delay: 5,
         },
     );
+    let req = t.record_span(0, "request", 0, 120);
+    t.record_span(req, "queue", 0, 25);
+    let d = t.record_span(req, "dispatch", 25, 110);
+    let plan = t.record_span(d, "plan_shift", 25, 80);
+    t.record_span(plan, "sts_pulse", 25, 50);
+    t.record_span(plan, "sts_pulse", 50, 72);
+    t.record_span(plan, "pecc_verify", 72, 80);
+    t.record_span(d, "mem_fill", 80, 110);
+    let req2 = t.record_span(0, "request", 120, 160);
+    t.record_span(req2, "dispatch", 120, 160);
     t
 }
 
-/// A two-request span forest exercising nesting, siblings and roots.
-fn populated_spans() -> SpanTrace {
-    let t = SpanTrace::new();
-    t.set_enabled(true);
-    let req = t.record(0, "request", 0, 120);
-    t.record(req, "queue", 0, 25);
-    let d = t.record(req, "dispatch", 25, 110);
-    let plan = t.record(d, "plan_shift", 25, 80);
-    t.record(plan, "sts_pulse", 25, 50);
-    t.record(plan, "sts_pulse", 50, 72);
-    t.record(plan, "pecc_verify", 72, 80);
-    t.record(d, "mem_fill", 80, 110);
-    let req2 = t.record(0, "request", 120, 160);
-    t.record(req2, "dispatch", 120, 160);
-    t
+fn populated_spans() -> SpanSnapshot {
+    populated_trace().snapshot().spans
 }
 
 #[test]
@@ -121,33 +109,12 @@ fn registry_json_round_trips_byte_identically() {
 }
 
 #[test]
-fn labeled_json_round_trips_byte_identically() {
-    let snap = populated_labeled().snapshot();
-    let doc = snap.to_json();
-    assert_json_stable(&doc);
-    let back = LabeledSnapshot::from_json(&doc).expect("decode");
-    assert_eq!(back, snap);
-    assert_eq!(back.to_json().pretty(), doc.pretty());
-}
-
-#[test]
-fn event_json_round_trips_byte_identically() {
-    let snap = populated_events().snapshot();
-    let doc = snap.to_json();
-    assert_json_stable(&doc);
-    let back = EventTraceSnapshot::from_json(&doc).expect("decode");
-    assert_eq!(back, snap);
-    assert_eq!(back.to_json().pretty(), doc.pretty());
-}
-
-#[test]
-fn span_json_round_trips_byte_identically() {
-    let snap = populated_spans().snapshot();
-    let doc = snap.to_json();
-    assert_json_stable(&doc);
-    let back = SpanTraceSnapshot::from_json(&doc).expect("decode");
-    assert_eq!(back, snap);
-    assert_eq!(back.to_json().pretty(), doc.pretty());
+fn labeled_and_trace_json_re_export_byte_identically() {
+    assert_json_stable(&populated_registry().labeled_snapshot().to_json());
+    let snap = populated_trace().snapshot();
+    assert_json_stable(&snap.to_json());
+    let spans = SpanSnapshot::from_json(&snap.spans.to_json()).expect("decode spans");
+    assert_eq!(spans, snap.spans);
 }
 
 #[test]
@@ -183,20 +150,11 @@ fn csv_exports_are_stable_after_json_round_trip() {
     let reg = populated_registry().snapshot();
     let reg2 = RegistrySnapshot::from_json(&reg.to_json()).unwrap();
     assert_eq!(reg.to_csv(), reg2.to_csv());
-
-    let lab = populated_labeled().snapshot();
-    let lab2 = LabeledSnapshot::from_json(&lab.to_json()).unwrap();
-    assert_eq!(lab.to_csv(), lab2.to_csv());
-
-    let ev = populated_events().snapshot();
-    let ev2 = EventTraceSnapshot::from_json(&ev.to_json()).unwrap();
-    assert_eq!(ev.to_csv(), ev2.to_csv());
-    assert_eq!(ev.queue_csv(), ev2.queue_csv());
 }
 
 #[test]
 fn span_children_nest_within_parents() {
-    let snap = populated_spans().snapshot();
+    let snap = populated_spans();
     for span in &snap.spans {
         if span.parent == 0 {
             continue;
@@ -217,7 +175,7 @@ fn span_children_nest_within_parents() {
 
 #[test]
 fn child_cycle_sums_never_exceed_parents() {
-    let snap = populated_spans().snapshot();
+    let snap = populated_spans();
     for span in &snap.spans {
         let child_sum: u64 = snap.children_of(span.id).iter().map(|c| c.duration()).sum();
         assert!(
@@ -234,7 +192,7 @@ fn child_cycle_sums_never_exceed_parents() {
 fn folded_stacks_conserve_total_cycles() {
     // Self-cycle attribution is exact: summing every folded-stack
     // value recovers exactly the root spans' total duration.
-    let snap = populated_spans().snapshot();
+    let snap = populated_spans();
     let folded = folded_stacks(&snap);
     let folded_total: u64 = folded
         .lines()
@@ -251,7 +209,7 @@ fn folded_stacks_conserve_total_cycles() {
 
 #[test]
 fn chrome_trace_covers_every_span() {
-    let snap = populated_spans().snapshot();
+    let snap = populated_spans();
     let doc = chrome_trace(&snap);
     assert_json_stable(&doc);
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();

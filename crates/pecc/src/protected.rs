@@ -24,7 +24,6 @@
 
 use crate::code::{StripeChecker, Verdict};
 use crate::layout::{LayoutError, PeccLayout, ProtectionKind};
-use rtm_obs::events::{PeccOutcome, ShiftEvent};
 use rtm_track::bit::Bit;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
@@ -220,14 +219,6 @@ impl ProtectedStripe {
         self.stripe.apply_shift(-(k as i64), outcome);
         self.shift_ops += 1;
         self.corrections += 1;
-        rtm_obs::counter_add("pecc.back_shifts", 1);
-        rtm_obs::counter_add("pecc.back_shift_steps", k.unsigned_abs() as u64);
-        rtm_obs::record_event(
-            self.shift_ops,
-            ShiftEvent::BackShift {
-                steps: k.unsigned_abs(),
-            },
-        );
     }
 
     /// Full protected shift transaction: shift, check, correct (retrying
@@ -243,40 +234,16 @@ impl ProtectedStripe {
     ) -> Verdict {
         self.shift(delta, faults);
         let mut verdict = self.check();
-        self.record_verdict(verdict);
         let mut rounds = 0;
         while let Verdict::Correctable(k) = verdict {
             if rounds >= max_retries {
-                self.record_verdict(Verdict::Uncorrectable);
                 return Verdict::Uncorrectable;
             }
             self.correct(k, faults);
             verdict = self.check();
-            self.record_verdict(verdict);
             rounds += 1;
         }
         verdict
-    }
-
-    /// Emits a sampled (bit-accurate) p-ECC verdict into the global
-    /// observer, timestamped with the stripe's operation count (this
-    /// layer has no cycle clock). No-op when observability is off.
-    fn record_verdict(&self, verdict: Verdict) {
-        let outcome = match verdict {
-            Verdict::Clean => {
-                rtm_obs::counter_add("pecc.verdict.clean", 1);
-                PeccOutcome::Clean
-            }
-            Verdict::Correctable(k) => {
-                rtm_obs::counter_add("pecc.verdict.corrected", 1);
-                PeccOutcome::Corrected(k.unsigned_abs())
-            }
-            Verdict::Uncorrectable => {
-                rtm_obs::counter_add("pecc.verdict.due", 1);
-                PeccOutcome::DetectedUncorrectable
-            }
-        };
-        rtm_obs::record_event(self.shift_ops, ShiftEvent::PeccVerdict { outcome });
     }
 
     /// Reads data domain `d` at the current head position.

@@ -16,9 +16,9 @@ use rtm_cost::technology::{CacheTech, SystemConfig};
 use rtm_mem::cache::AccessKind;
 use rtm_mem::llc::{LlcModel, LlcStats, RacetrackLlc, ScaleStats};
 use rtm_obs::attrib::AttributionTable;
-use rtm_obs::events::ShiftEvent;
 use rtm_obs::metrics::{nearest_rank, MetricsRegistry, RegistrySnapshot};
-use rtm_obs::span::ParentScope;
+use rtm_obs::trace::{ParentScope, ShiftEvent};
+use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::MemAccess;
 
@@ -299,13 +299,12 @@ impl ServeResult {
         self.queue_delay.sum + self.service.sum + self.fill_cycles
     }
 
-    /// Records this run's summary into the global metrics registry
-    /// (no-op while observability is off). Kept separate from the run
-    /// itself so parallel sweeps can record after their workers join,
-    /// in deterministic cell order.
-    pub fn record_metrics(&self) {
-        let reg = rtm_obs::global().registry();
-        if reg.enabled() {
+    /// Records this run's summary into `obs` (no-op without a
+    /// registry). Kept separate from the run itself so parallel sweeps
+    /// can record after their workers join, in deterministic cell
+    /// order.
+    pub fn record_metrics(&self, obs: &Obs) {
+        if let Some(reg) = obs.metrics() {
             reg.gauge_set("serve.cycles", self.cycles as f64);
             reg.gauge_set("serve.p99_service_cycles", self.service.p99 as f64);
             reg.gauge_set("serve.p99_queue_delay_cycles", self.queue_delay.p99 as f64);
@@ -489,6 +488,8 @@ pub struct ServeSim {
     tenant_verify: Vec<u64>,
     tenant_fill: Vec<u64>,
     registry: MetricsRegistry,
+    /// The run's observer (records nothing by default).
+    obs: Obs,
 }
 
 impl ServeSim {
@@ -498,13 +499,22 @@ impl ServeSim {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: ServeConfig) -> Self {
+        Self::observed(cfg, Obs::default())
+    }
+
+    /// [`ServeSim::new`] recording into `obs`: request span trees and
+    /// queue events per request, the LLC's and controllers' records,
+    /// and the LLC counts folded once when the run finishes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid.
+    pub fn observed(cfg: ServeConfig, obs: Obs) -> Self {
         cfg.validate();
         let mut llc = RacetrackLlc::with_banks(cfg.protection, cfg.shift_policy, cfg.banks);
         if let Some(bytes) = cfg.capacity_bytes {
             llc = llc.with_capacity(bytes);
         }
-        let registry = MetricsRegistry::new();
-        registry.set_enabled(true);
         Self {
             mem_cycles: SystemConfig::paper(CacheTech::Racetrack)
                 .memory
@@ -544,8 +554,9 @@ impl ServeSim {
             tenant_sts: vec![0; cfg.clients as usize],
             tenant_verify: vec![0; cfg.clients as usize],
             tenant_fill: vec![0; cfg.clients as usize],
-            registry,
-            llc,
+            registry: MetricsRegistry::new(),
+            llc: llc.with_obs(obs.clone()),
+            obs,
             cfg,
         }
     }
@@ -641,7 +652,7 @@ impl ServeSim {
                 f.total_cycles as f64,
                 &LATENCY_BOUNDS,
             );
-            rtm_obs::record_event(
+            self.obs.record_event(
                 f.complete_at,
                 ShiftEvent::ReqCompleted {
                     id: f.id,
@@ -699,7 +710,7 @@ impl ServeSim {
                     self.last_stall = Some((self.clock, group));
                     self.backpressure_stalls += 1;
                     self.registry.counter_add("serve.backpressure_stalls", 1);
-                    rtm_obs::record_event(
+                    self.obs.record_event(
                         self.clock,
                         ShiftEvent::ReqBackpressure {
                             group: group as u32,
@@ -735,7 +746,7 @@ impl ServeSim {
             self.pending = None;
             source.admitted(id, self.clock);
             self.registry.counter_add("serve.enqueued", 1);
-            rtm_obs::record_event(
+            self.obs.record_event(
                 self.clock,
                 ShiftEvent::ReqEnqueued {
                     id,
@@ -782,8 +793,8 @@ impl ServeSim {
             // The dispatch span id must exist before the access so the
             // controller's plan_shift spans nest under it; its record
             // is filled in below once the extent is known.
-            let spans = rtm_obs::global().spans();
-            let dispatch_span = spans.reserve();
+            let trace = self.obs.trace();
+            let dispatch_span = trace.map_or(0, |t| t.reserve_span());
             let resp = {
                 let _parent = ParentScope::enter(dispatch_span);
                 self.llc.access(req.addr, req.kind(), self.clock)
@@ -815,11 +826,11 @@ impl ServeSim {
             self.tenant_sts[c] += shift_delta - verify_delta;
             self.tenant_verify[c] += verify_delta;
             self.tenant_fill[c] += fill;
-            if dispatch_span != 0 {
+            if let Some(spans) = trace {
                 // The request's whole span tree is known now: queue and
                 // dispatch (and any fill) tile the request exactly.
-                let req_span = spans.record(0, "request", req.arrival, complete_at);
-                spans.record(req_span, "queue", req.arrival, self.clock);
+                let req_span = spans.record_span(0, "request", req.arrival, complete_at);
+                spans.record_span(req_span, "queue", req.arrival, self.clock);
                 spans.record_reserved(
                     dispatch_span,
                     req_span,
@@ -828,7 +839,7 @@ impl ServeSim {
                     self.clock + service_cycles,
                 );
                 if fill > 0 {
-                    spans.record(
+                    spans.record_span(
                         req_span,
                         "mem_fill",
                         self.clock + service_cycles,
@@ -867,7 +878,7 @@ impl ServeSim {
                 &LATENCY_BOUNDS,
             );
             self.registry.counter_add("serve.dispatched", 1);
-            rtm_obs::record_event(
+            self.obs.record_event(
                 self.clock,
                 ShiftEvent::ReqDispatched {
                     id: req.id,
@@ -925,6 +936,7 @@ impl ServeSim {
             .gauge_set("serve.peak_in_flight", self.peak_in_flight as f64);
         let scale = self.llc.scale_stats();
         scale.record(&self.registry);
+        self.llc.record_metrics();
         let mut tenants = AttributionTable::new(["tenant"], ATTRIBUTION_COMPONENTS);
         for c in 0..self.cfg.clients as usize {
             let service = self.tenant_service[c];
@@ -1230,15 +1242,18 @@ mod tests {
         assert_eq!(r.bank_busy_cycles.iter().sum::<u64>(), r.service.sum);
     }
 
+    /// A 200-request FCFS canneal run recording into `obs`.
+    fn run_observed(obs: &Obs) -> ServeResult {
+        let p = WorkloadProfile::by_name("canneal").unwrap();
+        let cfg = ServeConfig::new(SchedPolicy::Fcfs).with_requests(200);
+        ServeSim::observed(cfg, obs.clone()).run(&mut TraceGenerator::new(p, 2015))
+    }
+
     #[test]
     fn spans_record_the_request_tree_when_enabled() {
-        let spans = rtm_obs::global().spans();
-        spans.reset();
-        spans.set_enabled(true);
-        let r = run(SchedPolicy::Fcfs, "canneal", 200);
-        let snap = spans.snapshot();
-        spans.set_enabled(false);
-        spans.reset();
+        let obs = Obs::default().with_trace(true);
+        let r = run_observed(&obs);
+        let snap = obs.trace().unwrap().snapshot().spans;
         assert_eq!(r.requests, 200);
         let count = |name: &str| snap.spans.iter().filter(|s| s.name == name).count();
         assert_eq!(count("request"), 200);
@@ -1263,6 +1278,41 @@ mod tests {
                 "sts_pulse" | "pecc_verify" => assert_eq!(p.name, "plan_shift"),
                 other => panic!("unexpected span {other}"),
             }
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_see_only_their_own_records() {
+        // Two observed runs and one default-handle run at once: each
+        // observer holds exactly its own run, and the default handle
+        // records nothing anywhere.
+        let observed = || {
+            let obs = Obs::default().with_metrics(true).with_trace(true);
+            let r = run_observed(&obs);
+            r.record_metrics(&obs);
+            (obs, r)
+        };
+        let off = Obs::default();
+        let (a, b, quiet) = std::thread::scope(|s| {
+            let a = s.spawn(observed);
+            let b = s.spawn(observed);
+            let quiet = s.spawn(|| run_observed(&off));
+            (a.join().unwrap(), b.join().unwrap(), quiet.join().unwrap())
+        });
+        assert!(off.metrics().is_none() && off.trace().is_none());
+        for (obs, r) in [a, b] {
+            assert_eq!(r, quiet, "observation never changes the run");
+            let trace = obs.trace().unwrap().snapshot();
+            let requests = trace.spans.spans.iter().filter(|s| s.name == "request");
+            assert_eq!(requests.count(), 200);
+            assert_eq!(trace.count_kind("ReqCompleted"), 200);
+            let m = obs.metrics().unwrap().snapshot();
+            assert_eq!(m.counter("serve.completed"), Some(200));
+            assert_eq!(
+                m.counter("serve.backpressure_stalls"),
+                Some(r.backpressure_stalls)
+            );
+            assert_eq!(m.counter("llc.accesses"), Some(200));
         }
     }
 }

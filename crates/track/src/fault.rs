@@ -546,6 +546,15 @@ impl SelectedFaultModel {
             Self::Pinning(m) => m.sampled(),
         }
     }
+
+    /// Walker alias tables this model precomputed: two per tabulated
+    /// distance on the alias fast path, none otherwise.
+    pub fn alias_tables(&self) -> u64 {
+        match self {
+            Self::Engine(EngineFaultModel::Alias(m)) => 2 * u64::from(m.sampler.max_distance()),
+            _ => 0,
+        }
+    }
 }
 
 impl FaultModel for SelectedFaultModel {

@@ -10,6 +10,7 @@
 //! energy and the implied reliability of the run.
 
 use hifi_rtm::mem::hierarchy::{Hierarchy, LlcChoice};
+use hifi_rtm::obs::Obs;
 use hifi_rtm::trace::{TraceGenerator, WorkloadProfile};
 use hifi_rtm::util::units::format_mttf;
 
@@ -43,7 +44,7 @@ fn main() {
     );
 
     for choice in LlcChoice::ALL {
-        let mut sys = Hierarchy::new(choice);
+        let mut sys = Hierarchy::new(choice, Obs::default());
         let mut gen = TraceGenerator::new(profile, 42);
         let r = sys.run(&mut gen, accesses);
         println!(

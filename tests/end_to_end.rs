@@ -6,6 +6,7 @@ use hifi_rtm::controller::controller::ShiftPolicy;
 use hifi_rtm::core::experiments::{RtVariant, SimSweep, SweepSettings};
 use hifi_rtm::core::RtmConfig;
 use hifi_rtm::mem::hierarchy::{Hierarchy, LlcChoice};
+use hifi_rtm::obs::Obs;
 use hifi_rtm::trace::{TraceGenerator, WorkloadProfile};
 use hifi_rtm::util::units::SECONDS_PER_YEAR;
 
@@ -41,7 +42,7 @@ fn execution_time_ordering_follows_fig16() {
     let p = WorkloadProfile::by_name("ferret").unwrap();
     let n = 400_000;
     let cycles = |choice: LlcChoice| {
-        let mut sys = Hierarchy::new(choice);
+        let mut sys = Hierarchy::new(choice, Obs::default());
         sys.run(&mut TraceGenerator::new(p, 99), n).cycles
     };
     let ideal = cycles(LlcChoice::RacetrackIdeal);
@@ -91,7 +92,7 @@ fn config_builder_to_controller_to_stripe_agree() {
 #[test]
 fn energy_composition_is_consistent_across_layers() {
     let p = WorkloadProfile::by_name("vips").unwrap();
-    let mut sys = Hierarchy::new(LlcChoice::RacetrackPeccSAdaptive);
+    let mut sys = Hierarchy::new(LlcChoice::RacetrackPeccSAdaptive, Obs::default());
     let r = sys.run(&mut TraceGenerator::new(p, 5), 100_000);
     // Activity counters must match the stats the energy model consumed.
     assert_eq!(r.activity.reads, r.llc.cache.reads);
@@ -111,7 +112,7 @@ fn unprotected_vs_protected_risk_budget() {
     // happen (head positions are data-driven), only their cost & risk.
     let p = WorkloadProfile::by_name("canneal").unwrap();
     let run = |choice: LlcChoice| {
-        let mut sys = Hierarchy::new(choice);
+        let mut sys = Hierarchy::new(choice, Obs::default());
         sys.run(&mut TraceGenerator::new(p, 31), 60_000)
     };
     let unprot = run(LlcChoice::RacetrackUnprotected);
@@ -130,8 +131,8 @@ fn workload_capacity_classes_behave() {
     // LLC than each insensitive one (cycle ratio RM-Ideal / SRAM).
     let ratio = |name: &str| {
         let p = WorkloadProfile::by_name(name).unwrap();
-        let mut rm = Hierarchy::new(LlcChoice::RacetrackIdeal);
-        let mut sram = Hierarchy::new(LlcChoice::SramBaseline);
+        let mut rm = Hierarchy::new(LlcChoice::RacetrackIdeal, Obs::default());
+        let mut sram = Hierarchy::new(LlcChoice::SramBaseline, Obs::default());
         let n = 600_000;
         let a = rm.run(&mut TraceGenerator::new(p, 77), n).cycles as f64;
         let b = sram.run(&mut TraceGenerator::new(p, 77), n).cycles as f64;

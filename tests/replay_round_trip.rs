@@ -2,6 +2,7 @@
 //! generator-driven simulation exactly.
 
 use hifi_rtm::mem::hierarchy::{Hierarchy, LlcChoice};
+use hifi_rtm::obs::Obs;
 use hifi_rtm::trace::replay::{read_trace, write_trace};
 use hifi_rtm::trace::{TraceGenerator, WorkloadProfile};
 
@@ -11,7 +12,7 @@ fn recorded_trace_reproduces_simulation_exactly() {
     let n = 50_000;
 
     // Generator-driven run.
-    let mut live = Hierarchy::new(LlcChoice::RacetrackPeccSAdaptive);
+    let mut live = Hierarchy::new(LlcChoice::RacetrackPeccSAdaptive, Obs::default());
     let live_result = live.run(&mut TraceGenerator::new(profile, 77), n);
 
     // Record the same stream, serialise, deserialise, replay.
@@ -20,7 +21,7 @@ fn recorded_trace_reproduces_simulation_exactly() {
     write_trace(&mut buf, &accesses).expect("serialise");
     let decoded = read_trace(buf.as_slice()).expect("deserialise");
 
-    let mut replayed = Hierarchy::new(LlcChoice::RacetrackPeccSAdaptive);
+    let mut replayed = Hierarchy::new(LlcChoice::RacetrackPeccSAdaptive, Obs::default());
     let replay_result = replayed.run_trace(&decoded);
 
     assert_eq!(live_result.cycles, replay_result.cycles);
@@ -41,7 +42,7 @@ fn replayed_trace_is_portable_across_llc_choices() {
         LlcChoice::RacetrackIdeal,
         LlcChoice::RacetrackPeccO,
     ] {
-        let mut sys = Hierarchy::new(choice);
+        let mut sys = Hierarchy::new(choice, Obs::default());
         cycles.push(sys.run_trace(&accesses).cycles);
     }
     // Same instruction stream, different memory systems: the ideal
