@@ -9,6 +9,8 @@ use rtm_core::experiments::{
     ablation, design, energy_exp, errormodel, motivation, performance, reliability_exp,
     SweepSettings,
 };
+use rtm_model::analytic::Engine;
+use rtm_obs::Obs;
 
 fn bench_settings() -> SweepSettings {
     let mut s = SweepSettings::quick();
@@ -20,7 +22,7 @@ fn main() {
     let s = bench_settings();
     bench("fig1_mttf_curve", motivation::figure1);
     bench("fig4_position_pdf_mc", || {
-        errormodel::figure4_experiment(20_000, 7)
+        errormodel::figure4_experiment_with_engine(20_000, 7, Engine::MonteCarlo, &Obs::default())
     });
     bench("table2_rate_table", errormodel::table2_experiment);
     bench("fig7_area_sweep", design::figure7_experiment);
@@ -40,7 +42,7 @@ fn main() {
         performance::figure14_experiment(&s)
     });
     bench("fig15_latency_sensitivity", || {
-        performance::figure15_experiment(200, &rtm_obs::Obs::default())
+        performance::figure15_experiment(200, &Obs::default())
     });
     bench("fig16_execution_time_sim", || {
         performance::figure16_experiment(&s)
@@ -52,6 +54,12 @@ fn main() {
         energy_exp::figure18_experiment(&s)
     });
     bench("ablation_report", || {
-        ablation::render_ablations(5_000, 7, 5.12e9)
+        ablation::render_ablations_with_engine(
+            5_000,
+            7,
+            5.12e9,
+            Engine::MonteCarlo,
+            &Obs::default(),
+        )
     });
 }

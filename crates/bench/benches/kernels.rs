@@ -5,12 +5,12 @@
 //! benchmarking framework).
 
 use rtm_bench::timing::bench;
+use rtm_codes::PeccCode;
 use rtm_controller::controller::{ShiftController, ShiftPolicy};
 use rtm_mem::hierarchy::{Hierarchy, LlcChoice};
 use rtm_model::params::DeviceParams;
 use rtm_model::shift::ShiftSimulator;
 use rtm_obs::Obs;
-use rtm_pecc::code::PeccCode;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_pecc::protected::ProtectedStripe;
 use rtm_trace::{TraceGenerator, WorkloadProfile};

@@ -3,14 +3,13 @@
 //! PDFs (closed-form erf bands vs sampling), the per-shift outcome
 //! sampling path (Gaussian reference vs Walker alias tables), and the
 //! multi-shift convolution layer (composed offset distribution vs a
-//! simulated run). Emits a detailed `BENCH_engine.json` plus the flat
-//! `BENCH_model.json` rows `{engine, experiment, wall_ms,
-//! max_abs_divergence}`.
+//! simulated run). Emits `BENCH_engine.json`, whose `benches` rows
+//! are `{engine, experiment, wall_ms, max_abs_divergence}`.
 //!
 //! ```text
 //! cargo run --release -p rtm-bench --bin bench-engine
 //! cargo run --release -p rtm-bench --bin bench-engine -- \
-//!     --quick --check --out BENCH_engine.json --model-out BENCH_model.json
+//!     --quick --check --out BENCH_engine.json
 //! ```
 //!
 //! With `--check`, exits non-zero if any engine pair diverges beyond
@@ -86,21 +85,21 @@ fn main() {
     let mut quick = false;
     let mut check = false;
     let mut out = std::path::PathBuf::from("BENCH_engine.json");
-    let mut model_out = std::path::PathBuf::from("BENCH_model.json");
     let mut threads = rtm_par::available_parallelism();
     let mut args = std::env::args().skip(1);
-    let path_arg = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("error: {flag} needs a path");
-            std::process::exit(2);
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--check" => check = true,
-            "--out" => out = path_arg(&mut args, "--out").into(),
-            "--model-out" => model_out = path_arg(&mut args, "--model-out").into(),
+            "--out" => {
+                out = args
+                    .next()
+                    .unwrap_or_else(|| {
+                        eprintln!("error: --out needs a path");
+                        std::process::exit(2);
+                    })
+                    .into();
+            }
             "--threads" => {
                 threads = args
                     .next()
@@ -115,7 +114,7 @@ fn main() {
                 eprintln!("error: unknown flag {other}");
                 eprintln!(
                     "usage: bench-engine [--quick] [--check] [--threads N] \
-                     [--out file.json] [--model-out file.json]"
+                     [--out file.json]"
                 );
                 std::process::exit(2);
             }
@@ -275,19 +274,12 @@ fn main() {
         ("sample_draws", Json::Num(sample_draws as f64)),
         ("conv_runs", Json::Num(conv_runs as f64)),
         ("all_within_tolerance", Json::Bool(all_within)),
-        ("benches", Json::Arr(rows.clone())),
+        ("benches", Json::Arr(rows)),
     ]);
     rtm_bench::stamp::stamp(&mut detail);
-    let mut flat = Json::obj(vec![
-        ("schema", Json::Str("rtm-bench-model/v1".to_string())),
-        ("rows", Json::Arr(rows)),
-    ]);
-    rtm_bench::stamp::stamp(&mut flat);
-    for (path, doc) in [(&out, &detail), (&model_out, &flat)] {
-        if let Err(e) = rtm_obs::export::write_json(path, doc) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("wrote {}", path.display());
+    if let Err(e) = rtm_obs::export::write_json(&out, &detail) {
+        eprintln!("error: cannot write {}: {e}", out.display());
+        std::process::exit(2);
     }
+    eprintln!("wrote {}", out.display());
 }

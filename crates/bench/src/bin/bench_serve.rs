@@ -8,17 +8,13 @@
 //!
 //! A second section measures the serving layer's *host* throughput in
 //! requests per second: the discrete-event loop ([`ServeSim`], the
-//! scheduling-fidelity path), the coarse-lock baseline
-//! ([`rtm_serve::run_mutex`]) and the lock-free per-bank lane path
+//! scheduling-fidelity path) and the lock-free per-bank lane path
 //! ([`rtm_serve::run_parallel`]) at 1/2/4/8 worker threads, on the
 //! same pre-generated traces (generation is outside the timed region
-//! for every mode). With `--check` the lane and mutex paths are
-//! additionally gated on bit-identity with their serial oracle, and
-//! `--min-speedup X` fails the run unless the 8-thread lane path beats
-//! the event loop by at least `X` on every workload. (The event loop
-//! is the stricter denominator on a small host: the giant-lock path
-//! only collapses under real core-level contention, while the event
-//! loop's per-request scheduling work is paid everywhere.)
+//! for every mode). With `--check` the lane path is additionally gated
+//! on bit-identity with its serial oracle, and `--min-speedup X` fails
+//! the run unless the 8-thread lane path beats the event loop by at
+//! least `X` on every workload.
 //!
 //! ```text
 //! cargo run --release -p rtm-bench --bin bench-serve
@@ -28,8 +24,8 @@
 
 use rtm_obs::json::Json;
 use rtm_serve::{
-    run_mutex, run_oracle, run_parallel, SchedPolicy, ServeConfig, ServeResult, ServeSim,
-    ServeStats, ThroughputConfig,
+    run_oracle, run_parallel, SchedPolicy, ServeConfig, ServeResult, ServeSim, ServeStats,
+    ThroughputConfig,
 };
 use rtm_trace::{MemAccess, MixedTraceGenerator, WorkloadProfile};
 use std::time::Instant;
@@ -124,7 +120,7 @@ fn time_event_loop(trace: &[MemAccess]) -> (f64, ServeResult) {
 /// Queue capacity for the timed paths: sized to the whole trace so the
 /// front end never blocks on backpressure and the measurement is pure
 /// data-path throughput, even when the host has fewer cores than
-/// workers. Both the lane and the mutex path get the same depth.
+/// workers.
 fn deep_rings(trace: &[MemAccess], threads: u32) -> ThroughputConfig {
     ThroughputConfig::new()
         .with_threads(threads)
@@ -139,22 +135,6 @@ fn time_lane(trace: &[MemAccess], threads: u32) -> (f64, ServeStats) {
         let cfg = deep_rings(trace, threads);
         let start = Instant::now();
         let stats = run_parallel(cfg, trace);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if best.as_ref().is_none_or(|(b, _)| wall_ms < *b) {
-            best = Some((wall_ms, stats));
-        }
-    }
-    best.expect("REPS > 0")
-}
-
-/// Times the coarse-lock baseline at a worker-thread count. Fastest of
-/// [`REPS`] runs.
-fn time_mutex(trace: &[MemAccess], threads: u32) -> (f64, ServeStats) {
-    let mut best: Option<(f64, ServeStats)> = None;
-    for _ in 0..REPS {
-        let cfg = deep_rings(trace, threads);
-        let start = Instant::now();
-        let stats = run_mutex(cfg, trace);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         if best.as_ref().is_none_or(|(b, _)| wall_ms < *b) {
             best = Some((wall_ms, stats));
@@ -304,18 +284,7 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            let mux = run_mutex(ThroughputConfig::new().with_threads(8), &trace);
-            if mux != oracle {
-                eprintln!(
-                    "ORACLE REGRESSION: {w}: 8-thread mutex-path stats \
-                     diverge from the serial oracle"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "oracle check: {w}: lane path identical to oracle at \
-                 {THREAD_LADDER:?}, mutex path at 8"
-            );
+            eprintln!("oracle check: {w}: lane path identical to oracle at {THREAD_LADDER:?}");
         }
         let (base_ms, base) = time_event_loop(&trace);
         let base_rps = rps(trace.len(), base_ms);
@@ -331,16 +300,6 @@ fn main() {
         ]));
         let mut line = format!("{w}: event-loop {base_rps:.0} req/s; lane");
         for t in THREAD_LADDER {
-            let (mux_ms, _) = time_mutex(&trace, t);
-            let mux_rps = rps(trace.len(), mux_ms);
-            tp_rows.push(Json::obj(vec![
-                ("mode", Json::Str("mutex".to_string())),
-                ("workload", Json::Str(w.to_string())),
-                ("threads", Json::Str(t.to_string())),
-                ("wall_ms", Json::Num(mux_ms)),
-                ("throughput_req_per_sec", Json::Num(mux_rps)),
-                ("speedup", Json::Num(mux_rps / base_rps)),
-            ]));
             let (ms, stats) = time_lane(&trace, t);
             let lane_rps = rps(trace.len(), ms);
             let speedup = lane_rps / base_rps;
@@ -352,7 +311,6 @@ fn main() {
                 ("wall_ms", Json::Num(ms)),
                 ("throughput_req_per_sec", Json::Num(lane_rps)),
                 ("speedup", Json::Num(speedup)),
-                ("speedup_vs_mutex", Json::Num(lane_rps / mux_rps)),
                 ("requests", Json::Num(stats.requests as f64)),
                 ("makespan_cycles", Json::Num(stats.makespan_cycles as f64)),
                 ("service_p99", Json::Num(stats.service.p99 as f64)),

@@ -21,8 +21,7 @@
 //! `11 → 10 → 00 → 01`, and with detect-only strength (SED) the period-2
 //! wave `1010…` of Fig. 5.
 //!
-//! This module moved here from `rtm-pecc::code` (which re-exports it)
-//! so the cyclic scheme sits behind the same [`PositionCodec`] trait as
+//! The cyclic scheme sits behind the same [`PositionCodec`] trait as
 //! the deletion/insertion codes; [`CyclicCodec`] is that adapter. Its
 //! `decode` reads the phase window out of the serial stream, so a slip
 //! *before* the window displaces it (shift-count decoding) while a slip

@@ -13,11 +13,11 @@
 
 use crate::safety::SafetyBudget;
 use crate::sequence::{SequenceTable, PECC_CHECK_CYCLES};
+use rtm_codes::Verdict;
 use rtm_model::rates::MAX_TABULATED_DISTANCE;
 use rtm_model::sts::StsTiming;
 use rtm_obs::trace::{current_parent, PeccOutcome, ShiftEvent};
 use rtm_obs::Obs;
-use rtm_pecc::code::Verdict;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_util::units::Cycles;
 
@@ -66,20 +66,6 @@ impl ShiftPlan {
     pub fn distance(&self) -> u32 {
         self.sequence.iter().sum()
     }
-}
-
-/// A batched shift command stream: one STS setup, N entries. Produced
-/// by [`ShiftController::plan_shift_batch`] when the serving layer
-/// coalesces consecutive same-stripe-group requests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchPlan {
-    /// Per-entry plans, in stream order; entries after the first are
-    /// continuations (their first sub-shift pays no stage-2 settle).
-    pub plans: Vec<ShiftPlan>,
-    /// End-to-end latency of the stream.
-    pub latency: Cycles,
-    /// Total cycles saved versus planning every entry standalone.
-    pub saved_cycles: u64,
 }
 
 /// Running statistics the controller maintains.
@@ -222,36 +208,6 @@ impl ShiftController {
     /// Panics if `distance == 0` or exceeds the planning table.
     pub fn plan_shift_continuation(&mut self, distance: u32, now_cycles: u64) -> ShiftPlan {
         self.plan_distance(distance, now_cycles, true)
-    }
-
-    /// Plans a whole batched shift command stream: the first entry is
-    /// a standalone plan (pays the STS setup), every later entry a
-    /// continuation, with time advancing by each plan's latency so the
-    /// interval adapter sees the true back-to-back spacing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `distances` is empty or any entry is zero.
-    pub fn plan_shift_batch(&mut self, distances: &[u32], now_cycles: u64) -> BatchPlan {
-        assert!(!distances.is_empty(), "a batch needs at least one shift");
-        let mut plans = Vec::with_capacity(distances.len());
-        let mut t = now_cycles;
-        let mut saved = 0u64;
-        for (i, &d) in distances.iter().enumerate() {
-            let plan = if i == 0 {
-                self.plan_shift(d, t)
-            } else {
-                saved += self.timing.setup_cycles().count();
-                self.plan_shift_continuation(d, t)
-            };
-            t += plan.latency.count();
-            plans.push(plan);
-        }
-        BatchPlan {
-            latency: Cycles(t - now_cycles),
-            saved_cycles: saved,
-            plans,
-        }
     }
 
     fn plan_distance(&mut self, distance: u32, now_cycles: u64, fused: bool) -> ShiftPlan {
@@ -663,39 +619,6 @@ mod tests {
         assert_eq!(fused.stats().batched_requests, 1);
         assert_eq!(fused.stats().batch_saved_cycles, setup);
         assert_eq!(standalone.stats().batched_requests, 0);
-    }
-
-    #[test]
-    fn batch_amortises_one_setup_per_continuation() {
-        let mut batched = ShiftController::new(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let mut serial = ShiftController::new(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let batch = batched.plan_shift_batch(&[3, 3, 3], 100);
-        // Replay the same stream without fusion, at the stream's own
-        // (longer) timestamps so the interval adapter is no laxer.
-        let mut t = 100u64;
-        let mut serial_latency = 0u64;
-        for plan in &batch.plans {
-            let p = serial.plan_shift(plan.distance(), t);
-            t += plan.latency.count();
-            serial_latency += p.latency.count();
-        }
-        let setup = StsTiming::paper().setup_cycles().count();
-        assert_eq!(batch.plans.len(), 3);
-        assert_eq!(batch.saved_cycles, 2 * setup);
-        assert_eq!(batch.latency.count(), serial_latency - batch.saved_cycles);
-        assert_eq!(batched.stats().requests, 3);
-        assert_eq!(batched.stats().batched_requests, 2);
-        // Safety accounting is identical to the unfused replay.
-        assert_eq!(batched.stats().checks, serial.stats().checks);
-        assert_eq!(batched.stats().expected_dues, serial.stats().expected_dues);
-        assert_eq!(batched.stats().expected_sdcs, serial.stats().expected_sdcs);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_batch_rejected() {
-        let mut ctl = ShiftController::new(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let _ = ctl.plan_shift_batch(&[], 0);
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //!   arbitrary m; [`strength_sweep`] trades DUE MTTF against storage
 //!   and port overhead for m = 1…4.
 //! * **STS on/off** — Section 4.1 converts stop-in-middle errors into
-//!   out-of-step errors; [`sts_conversion`] shows both distributions
-//!   side by side.
+//!   out-of-step errors; [`sts_conversion_with_engine`] shows both
+//!   distributions side by side.
 
 use super::render_table;
 use rtm_cost::area::AreaModel;
 use rtm_model::analytic::Engine;
+use rtm_model::montecarlo::position_pdf_engine;
 use rtm_model::params::DeviceParams;
-use rtm_model::pdfcache::position_pdf_cached_engine;
 use rtm_model::rates::OutOfStepRates;
 use rtm_model::shift::NoiseModel;
 use rtm_obs::Obs;
@@ -149,14 +149,9 @@ pub struct StsRow {
 }
 
 /// Quantifies the STS error-class conversion for 1-, 4- and 7-step
-/// shifts via Monte-Carlo plus analytic tails.
-pub fn sts_conversion(trials: u64, seed: u64) -> Vec<StsRow> {
-    sts_conversion_with_engine(trials, seed, Engine::MonteCarlo, &Obs::default())
-}
-
-/// [`sts_conversion`] from the requested position-error engine. With
-/// [`Engine::Analytic`] the bin masses come from exact erf bands and
-/// `trials`/`seed` are ignored. The PDF runs record into `obs`.
+/// shifts from the requested position-error engine: Monte-Carlo plus
+/// analytic tails, or with [`Engine::Analytic`] exact erf bands (then
+/// `trials`/`seed` are ignored). The PDF runs record into `obs`.
 pub fn sts_conversion_with_engine(
     trials: u64,
     seed: u64,
@@ -168,7 +163,7 @@ pub fn sts_conversion_with_engine(
     [1u32, 4, 7]
         .iter()
         .map(|&d| {
-            let pdf = position_pdf_cached_engine(&params, d, trials, seed + d as u64, engine, obs);
+            let pdf = position_pdf_engine(&params, d, trials, seed + d as u64, engine, obs);
             StsRow {
                 distance: d,
                 raw_stop_in_middle: pdf.stop_in_middle_probability(),
@@ -255,19 +250,8 @@ pub fn head_policy_comparison(accesses: u64, obs: &Obs) -> [HeadPolicyRow; 2] {
     ]
 }
 
-/// Renders all four ablations as one report.
-pub fn render_ablations(trials: u64, seed: u64, stripe_intensity: f64) -> String {
-    render_ablations_with_engine(
-        trials,
-        seed,
-        stripe_intensity,
-        Engine::MonteCarlo,
-        &Obs::default(),
-    )
-}
-
-/// [`render_ablations`] with the STS-conversion study driven by the
-/// requested position-error engine, recording into `obs`.
+/// Renders every ablation as one report, with the STS-conversion study
+/// driven by the requested position-error engine, recording into `obs`.
 pub fn render_ablations_with_engine(
     trials: u64,
     seed: u64,
@@ -448,7 +432,7 @@ mod tests {
 
     #[test]
     fn sts_conversion_moves_mass() {
-        let rows = sts_conversion(300_000, 11);
+        let rows = sts_conversion_with_engine(300_000, 11, Engine::MonteCarlo, &Obs::default());
         for r in &rows {
             // Raw shifts are dominated by stop-in-middle...
             assert!(
@@ -484,7 +468,7 @@ mod tests {
 
     #[test]
     fn sts_conversion_analytic_matches_mc() {
-        let mc = sts_conversion(400_000, 11);
+        let mc = sts_conversion_with_engine(400_000, 11, Engine::MonteCarlo, &Obs::default());
         let an = sts_conversion_with_engine(0, 0, Engine::Analytic, &Obs::default());
         for (m, a) in mc.iter().zip(an.iter()) {
             assert_eq!(m.distance, a.distance);
@@ -505,7 +489,8 @@ mod tests {
 
     #[test]
     fn render_contains_all_seven_sections() {
-        let text = render_ablations(50_000, 3, 5.12e9);
+        let text =
+            render_ablations_with_engine(50_000, 3, 5.12e9, Engine::MonteCarlo, &Obs::default());
         for i in 1..=7 {
             assert!(
                 text.contains(&format!("Ablation {i}")),

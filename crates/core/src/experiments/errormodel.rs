@@ -15,14 +15,10 @@ pub struct Figure4 {
     pub panels: [PositionPdf; 3],
 }
 
-/// Runs the Fig. 4 Monte-Carlo (`trials` samples per panel).
-pub fn figure4_experiment(trials: u64, seed: u64) -> Figure4 {
-    figure4_experiment_with_engine(trials, seed, Engine::MonteCarlo, &Obs::default())
-}
-
-/// [`figure4_experiment`] from the requested engine, recording into
-/// `obs`: Monte-Carlo sampling, or the exact closed form (for which
-/// `trials`/`seed` are irrelevant and the panels carry `trials == 0`).
+/// Runs the Fig. 4 experiment from the requested engine, recording
+/// into `obs`: Monte-Carlo sampling (`trials` samples per panel), or
+/// the exact closed form (for which `trials`/`seed` are irrelevant and
+/// the panels carry `trials == 0`).
 pub fn figure4_experiment_with_engine(
     trials: u64,
     seed: u64,
@@ -168,7 +164,7 @@ mod tests {
 
     #[test]
     fn figure4_render_has_all_bins() {
-        let f = figure4_experiment(50_000, 3);
+        let f = figure4_experiment_with_engine(50_000, 3, Engine::MonteCarlo, &Obs::default());
         let text = f.render();
         for label in ["(-2,-1)", "-1", "(-1,+0)", "+0", "(+0,+1)", "+1", "(+1,+2)"] {
             assert!(text.contains(label), "missing bin {label}");
@@ -177,7 +173,7 @@ mod tests {
 
     #[test]
     fn figure4_success_mass_dominates() {
-        let f = figure4_experiment(50_000, 3);
+        let f = figure4_experiment_with_engine(50_000, 3, Engine::MonteCarlo, &Obs::default());
         for p in &f.panels {
             assert!(p.success_probability() > 0.99);
         }
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn figure4_analytic_engine_matches_mc_and_renders() {
-        let mc = figure4_experiment(200_000, 3);
+        let mc = figure4_experiment_with_engine(200_000, 3, Engine::MonteCarlo, &Obs::default());
         let an = figure4_experiment_with_engine(0, 0, Engine::Analytic, &Obs::default());
         for (m, a) in mc.panels.iter().zip(an.panels.iter()) {
             assert_eq!(a.trials, 0);

@@ -81,12 +81,7 @@ pub struct FrontSweep {
 }
 
 impl FrontSweep {
-    /// Runs the sweep on the process-wide `rtm_par` pool.
-    pub fn run(settings: &FrontSettings) -> Self {
-        Self::run_with_threads(settings, rtm_par::threads(), &Obs::default())
-    }
-
-    /// [`Self::run`] with an explicit worker count and every cell's
+    /// Runs the sweep on `threads` workers, with every cell's
     /// serving simulation recording into `obs`; results are identical
     /// for any `threads` value.
     pub fn run_with_threads(settings: &FrontSettings, threads: usize, obs: &Obs) -> Self {
@@ -230,7 +225,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_policy_and_class() {
-        let sweep = FrontSweep::run(&tiny());
+        let sweep = FrontSweep::run_with_threads(&tiny(), rtm_par::threads(), &Obs::default());
         assert_eq!(sweep.cells.len(), SchedPolicy::ALL.len());
         for c in &sweep.cells {
             assert_eq!(c.result.classes.len(), SloClass::ALL.len());
@@ -282,7 +277,7 @@ mod tests {
 
     #[test]
     fn render_and_csv_agree_on_row_count() {
-        let sweep = FrontSweep::run(&tiny());
+        let sweep = FrontSweep::run_with_threads(&tiny(), rtm_par::threads(), &Obs::default());
         let text = render_front(&sweep);
         assert!(text.contains("Front door"));
         assert!(text.contains("fairness"));
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn labeled_emission_covers_the_grid_when_enabled() {
-        let sweep = FrontSweep::run(&tiny());
+        let sweep = FrontSweep::run_with_threads(&tiny(), rtm_par::threads(), &Obs::default());
         let obs = Obs::default().with_labels(true);
         record_front_labels(&sweep, &obs);
         let snap = obs.labels().unwrap().labeled_snapshot();

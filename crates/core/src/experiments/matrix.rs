@@ -234,12 +234,7 @@ pub struct SchemeFaultMatrix {
 }
 
 impl SchemeFaultMatrix {
-    /// Runs the matrix on the process-wide `rtm_par` pool.
-    pub fn run(settings: &MatrixSettings) -> Self {
-        Self::run_with_threads(settings, rtm_par::threads(), &Obs::default())
-    }
-
-    /// [`Self::run`] with an explicit worker count, recording into
+    /// Runs the matrix on `threads` workers, recording into
     /// `obs`: each cell's sampled hierarchy records into it, and its
     /// result is folded in grid order. Results are bit-identical for
     /// any `threads` value.
@@ -370,7 +365,7 @@ mod tests {
     #[test]
     fn matrix_covers_every_cell_in_order() {
         let s = tiny();
-        let m = SchemeFaultMatrix::run(&s);
+        let m = SchemeFaultMatrix::run_with_threads(&s, rtm_par::threads(), &Obs::default());
         assert_eq!(m.cells.len(), 7 * 3);
         // Row-major order: the first three cells are STS under each
         // fault model, in FaultModelChoice::ALL order.
@@ -411,7 +406,7 @@ mod tests {
         // the analytic SDC MTTF is infinite under every fault model.
         let mut s = tiny();
         s.schemes = vec![SchemeChoice::CheeKiah, SchemeChoice::Vahid2di];
-        let m = SchemeFaultMatrix::run(&s);
+        let m = SchemeFaultMatrix::run_with_threads(&s, rtm_par::threads(), &Obs::default());
         for c in &m.cells {
             assert!(c.sdc_mttf_s.is_infinite(), "{} aliased", c.scheme);
             assert!(c.corrections_per_s > 0.0);
@@ -426,7 +421,7 @@ mod tests {
         let mut s = tiny();
         s.schemes = vec![SchemeChoice::Sts, SchemeChoice::Pecc];
         s.fault_models = vec![FaultModelChoice::Pinning];
-        let m = SchemeFaultMatrix::run(&s);
+        let m = SchemeFaultMatrix::run_with_threads(&s, rtm_par::threads(), &Obs::default());
         let sts = &m.cells[0];
         let pecc = &m.cells[1];
         assert!(sts.sdc_mttf_s.is_finite());
@@ -461,7 +456,7 @@ mod tests {
         let mut s = tiny();
         s.schemes = vec![SchemeChoice::Sts];
         s.fault_models = vec![FaultModelChoice::Calibrated];
-        let m = SchemeFaultMatrix::run(&s);
+        let m = SchemeFaultMatrix::run_with_threads(&s, rtm_par::threads(), &Obs::default());
         let text = m.render();
         assert!(text.contains("scheme"));
         assert!(text.contains("sts"));

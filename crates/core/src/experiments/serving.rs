@@ -129,12 +129,7 @@ pub struct ServeSweep {
 }
 
 impl ServeSweep {
-    /// Runs the sweep on the process-wide `rtm_par` pool.
-    pub fn run(settings: &ServeSettings) -> Self {
-        Self::run_with_threads(settings, rtm_par::threads(), &Obs::default())
-    }
-
-    /// [`Self::run`] with an explicit worker count and every cell's
+    /// Runs the sweep on `threads` workers, with every cell's
     /// [`ServeSim`] recording into `obs`; results are identical for any
     /// `threads` value.
     pub fn run_with_threads(settings: &ServeSettings, threads: usize, obs: &Obs) -> Self {
@@ -407,7 +402,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_requested_matrix() {
-        let sweep = ServeSweep::run(&tiny());
+        let sweep = ServeSweep::run_with_threads(&tiny(), rtm_par::threads(), &Obs::default());
         assert_eq!(
             sweep.cells.len(),
             2 * SCHEMES.len() * SchedPolicy::ALL.len()
@@ -435,7 +430,7 @@ mod tests {
     fn shift_aware_gains_on_capacity_sensitive_mixes() {
         let mut s = tiny();
         s.requests = 8_000;
-        let sweep = ServeSweep::run(&s);
+        let sweep = ServeSweep::run_with_threads(&s, rtm_par::threads(), &Obs::default());
         // On the capacity-sensitive mixes the shift-aware policy must
         // save both completion time and realised shift work vs FCFS
         // under the adaptive scheme (the paper's headline config).
@@ -461,7 +456,7 @@ mod tests {
 
     #[test]
     fn render_and_csv_agree_on_cell_count() {
-        let sweep = ServeSweep::run(&tiny());
+        let sweep = ServeSweep::run_with_threads(&tiny(), rtm_par::threads(), &Obs::default());
         let text = render_serving(&sweep);
         assert!(text.contains("Serving layer"));
         assert!(text.contains("shift-aware"));
@@ -471,7 +466,7 @@ mod tests {
 
     #[test]
     fn attribution_rows_sum_exactly_per_cell() {
-        let sweep = ServeSweep::run(&tiny());
+        let sweep = ServeSweep::run_with_threads(&tiny(), rtm_par::threads(), &Obs::default());
         let table = serving_attribution(&sweep);
         assert_eq!(table.cells.len(), sweep.cells.len());
         assert_eq!(table.max_residual(), 0);
@@ -504,7 +499,7 @@ mod tests {
     fn labeled_emission_covers_the_grid_when_enabled() {
         let mut s = tiny();
         s.workloads = Some(vec!["canneal"]);
-        let sweep = ServeSweep::run(&s);
+        let sweep = ServeSweep::run_with_threads(&s, rtm_par::threads(), &Obs::default());
         let obs = Obs::default().with_labels(true);
         record_serving_labels(&sweep, &obs);
         let snap = obs.labels().unwrap().labeled_snapshot();

@@ -17,6 +17,13 @@ use crate::proto::{Frame, ProtoError};
 use crate::session::FrontArrival;
 use rtm_serve::{SchedPolicy, ServeSim};
 
+/// Largest tenant population a `Hello` may request. The session table
+/// allocates per-tenant state up front, so a larger count is rejected
+/// with [`WireError::BadHello`] before anything is allocated. The bound
+/// sits well above the largest population any experiment or benchmark
+/// serves (10,000 tenants).
+pub const MAX_HELLO_TENANTS: u32 = 1 << 17;
+
 /// Errors answering a recorded stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -102,7 +109,8 @@ pub fn hello_frame(cfg: &FrontConfig) -> Frame {
 ///
 /// # Errors
 ///
-/// Rejects hellos whose fields cannot form a valid configuration.
+/// Rejects hellos whose fields cannot form a valid configuration, and
+/// tenant counts above [`MAX_HELLO_TENANTS`].
 pub fn config_of_hello(hello: &Frame) -> Result<FrontConfig, WireError> {
     let Frame::Hello {
         tenants,
@@ -118,6 +126,11 @@ pub fn config_of_hello(hello: &Frame) -> Result<FrontConfig, WireError> {
     };
     if *tenants == 0 {
         return Err(WireError::BadHello("zero tenants".into()));
+    }
+    if *tenants > MAX_HELLO_TENANTS {
+        return Err(WireError::BadHello(format!(
+            "{tenants} tenants exceed the limit of {MAX_HELLO_TENANTS}"
+        )));
     }
     if *offered == 0 {
         return Err(WireError::BadHello("zero offered requests".into()));
@@ -364,6 +377,31 @@ mod tests {
         assert_eq!(
             serve_frames(&with_resp, SchedPolicy::Fcfs),
             Err(WireError::UnexpectedFrame("Response"))
+        );
+    }
+    #[test]
+    fn oversized_tenant_count_is_rejected_before_allocation() {
+        let with_tenants = |n: u32| {
+            let mut frames = record_frames(&cfg());
+            if let Frame::Hello { tenants, .. } = &mut frames[0] {
+                *tenants = n;
+            }
+            frames
+        };
+        // u32::MAX tenants would ask the session table for ~4G entries.
+        match serve_frames(&with_tenants(u32::MAX), SchedPolicy::Fcfs) {
+            Err(WireError::BadHello(why)) => assert!(why.contains("limit"), "{why}"),
+            other => panic!("expected BadHello, got {other:?}"),
+        }
+        assert!(matches!(
+            config_of_hello(&with_tenants(MAX_HELLO_TENANTS + 1)[0]),
+            Err(WireError::BadHello(_))
+        ));
+        assert_eq!(
+            config_of_hello(&with_tenants(MAX_HELLO_TENANTS)[0])
+                .unwrap()
+                .tenants,
+            MAX_HELLO_TENANTS
         );
     }
 }

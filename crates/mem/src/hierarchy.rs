@@ -6,11 +6,12 @@
 //! the clock by its gap instructions plus the latency of the deepest
 //! level it had to reach.
 //!
-//! The single-request assumption is *not* baked in: a hierarchy can be
-//! built around any [`LlcModel`] via [`Hierarchy::with_llc`], which is
-//! how `rtm-serve` substitutes its queued, bank-parallel serving layer
-//! (per-stripe-group queues, multiple in-flight requests) while reusing
-//! the L1/L2 front end unchanged.
+//! A hierarchy can also be built around any [`LlcModel`] via
+//! [`Hierarchy::with_llc`], for example an instrumented wrapper around
+//! a [`RacetrackLlc`], while reusing the L1/L2 front end unchanged.
+//! Queued, bank-parallel serving (per-stripe-group queues, multiple
+//! in-flight requests) is `rtm-serve`'s `ServeSim`, which drives a
+//! banked [`RacetrackLlc`] directly.
 
 use crate::cache::{AccessKind, Cache};
 use crate::llc::{LlcModel, RacetrackLlc, SimpleLlc};
@@ -295,11 +296,11 @@ impl Hierarchy {
         )
     }
 
-    /// Builds the platform around an arbitrary LLC backend — the
-    /// queued-LLC mode: `rtm-serve` wraps a [`RacetrackLlc`] in its
-    /// scheduling layer and mounts it here, so the L1/L2 front end and
-    /// all accounting stay identical to the paper's configuration.
-    /// `choice` labels the result for energy-model purposes.
+    /// Builds the platform around an arbitrary LLC backend (for example
+    /// an instrumented wrapper around a [`RacetrackLlc`]), so the L1/L2
+    /// front end and all accounting stay identical to the paper's
+    /// configuration. `choice` labels the result for energy-model
+    /// purposes.
     pub fn with_llc(llc: Box<dyn LlcModel>, choice: LlcChoice) -> Self {
         Self::build(llc, choice, Obs::default())
     }

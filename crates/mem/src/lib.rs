@@ -10,11 +10,12 @@
 //! residual error probabilities come out of the same machinery the
 //! paper evaluates.
 //!
-//! The hierarchy defaults to the paper's single-request-at-a-time LLC
-//! access model, but does not require it: [`Hierarchy::with_llc`]
-//! accepts any [`llc::LlcModel`], and the `rtm-serve` crate uses that
-//! hook to mount a queued serving layer with per-stripe-group request
-//! queues, bank-level parallelism and pluggable scheduling policies.
+//! The hierarchy follows the paper's single-request-at-a-time LLC
+//! access model; [`Hierarchy::with_llc`] mounts any [`llc::LlcModel`]
+//! behind the same L1/L2 front end. Per-stripe-group request queues,
+//! bank-level parallelism and pluggable scheduling policies live in the
+//! `rtm-serve` crate, which drives a banked [`llc::RacetrackLlc`]
+//! directly.
 //!
 //! * [`cache`] — generic set-associative LRU cache bookkeeping;
 //! * [`llc`] — the three LLC backends behind one interface;

@@ -267,8 +267,8 @@ impl RacetrackLlc {
     /// Builds the racetrack LLC with the given protection scheme and
     /// safe-distance policy, serviced by a single shift controller (the
     /// paper's default "one request at a time" assumption; see
-    /// `rtm-serve` for the queued, bank-parallel serving mode that
-    /// lifts it).
+    /// [`Self::with_banks`] for the bank-parallel layout `rtm-serve`
+    /// schedules over).
     pub fn new(kind: ProtectionKind, policy: ShiftPolicy) -> Self {
         Self::with_banks(kind, policy, 1)
     }

@@ -11,7 +11,7 @@
 //! the cross-check in `tests/`).
 
 use crate::cache::{AccessKind, AccessResult, Cache};
-use rtm_pecc::code::Verdict;
+use rtm_codes::Verdict;
 use rtm_pecc::group::ProtectedGroup;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_track::bit::Bit;

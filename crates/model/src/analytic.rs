@@ -17,7 +17,7 @@
 //! survival functions, mirrored below the mean), reproduces the seven
 //! Fig. 4 bins and the Table 2 ±k columns at any distance, and exposes
 //! the same [`PositionPdf`] shape as the Monte-Carlo engine so figure
-//! drivers and the PDF cache can serve either. Multi-shift access
+//! drivers can use either. Multi-shift access
 //! sequences compose by convolution on the quantized offset lattice
 //! ([`OffsetDistribution`]) — the same structure position-coding work
 //! exploits when it treats over/under-shift as deletions/insertions.
@@ -51,14 +51,6 @@ impl Engine {
         match self {
             Engine::MonteCarlo => "mc",
             Engine::Analytic => "analytic",
-        }
-    }
-
-    /// Stable tag for cache keys (engines must never alias).
-    pub const fn cache_tag(&self) -> u8 {
-        match self {
-            Engine::MonteCarlo => 0,
-            Engine::Analytic => 1,
         }
     }
 }
@@ -405,7 +397,6 @@ mod tests {
         assert_eq!("montecarlo".parse::<Engine>().unwrap(), Engine::MonteCarlo);
         assert_eq!("analytic".parse::<Engine>().unwrap(), Engine::Analytic);
         assert!("fft".parse::<Engine>().is_err());
-        assert_ne!(Engine::MonteCarlo.cache_tag(), Engine::Analytic.cache_tag());
         assert_eq!(Engine::Analytic.to_string(), "analytic");
         assert_eq!(Engine::default(), Engine::Analytic);
     }

@@ -20,8 +20,6 @@
 //!   distributions across access sequences;
 //! * [`alias`] — Walker alias-table outcome sampling: one RNG draw and
 //!   two array reads per simulated shift on the hot paths;
-//! * [`pdfcache`] — a process-wide memo cache (keyed per engine) so
-//!   repeated figure runs stop recomputing identical PDFs;
 //! * [`rates`] — the canonical out-of-step rate table (the paper's
 //!   Table 2) plus interpolation, and the MTTF-vs-rate curve of Fig. 1.
 //!
@@ -50,7 +48,6 @@ pub mod analytic;
 pub mod dynamics;
 pub mod montecarlo;
 pub mod params;
-pub mod pdfcache;
 pub mod rates;
 pub mod shift;
 pub mod sts;

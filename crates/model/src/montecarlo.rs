@@ -8,6 +8,7 @@
 //! Gaussian fit of the *displacement* distribution so tail bins that saw
 //! zero samples still receive an analytic probability.
 
+use crate::analytic::{position_pdf_analytic, Engine};
 use crate::params::DeviceParams;
 use crate::shift::{NoiseModel, ShiftOutcome};
 use rtm_obs::Obs;
@@ -298,38 +299,49 @@ pub fn position_pdf_with_threads(
     }
 }
 
-/// Convenience: the three Fig. 4 panels (1-, 4- and 7-step shifts)
-/// from the Monte-Carlo engine.
+/// The position-error PDF for `(params, distance)` from the requested
+/// engine, recording into `obs`.
 ///
-/// Panels go through the PDF memo cache ([`crate::pdfcache`]), so
-/// repeated figure runs with identical inputs are free.
-pub fn figure4(params: &DeviceParams, trials: u64, seed: u64) -> [PositionPdf; 3] {
-    figure4_with_engine(
-        params,
-        trials,
-        seed,
-        crate::analytic::Engine::MonteCarlo,
-        &Obs::default(),
-    )
+/// [`Engine::MonteCarlo`] runs [`position_pdf_with_threads`] on the
+/// process-wide `rtm_par` pool. [`Engine::Analytic`] counts
+/// `engine.analytic.pdfs` and evaluates the closed form, which ignores
+/// `trials` and `seed` (the returned PDF carries `trials == 0`).
+///
+/// # Panics
+///
+/// Panics if `distance == 0`, or (Monte-Carlo only) if `trials == 0`.
+pub fn position_pdf_engine(
+    params: &DeviceParams,
+    distance: u32,
+    trials: u64,
+    seed: u64,
+    engine: Engine,
+    obs: &Obs,
+) -> PositionPdf {
+    match engine {
+        Engine::MonteCarlo => {
+            position_pdf_with_threads(params, distance, trials, seed, rtm_par::threads(), obs)
+        }
+        Engine::Analytic => {
+            obs.counter_add("engine.analytic.pdfs", 1);
+            position_pdf_analytic(params, distance)
+        }
+    }
 }
 
-/// [`figure4`] from the requested engine, recording into `obs` (see
-/// [`crate::pdfcache::position_pdf_cached_engine`]).
-///
-/// For [`crate::analytic::Engine::Analytic`] the panels come from the
-/// closed form (trials and seed are irrelevant and the returned PDFs
-/// carry `trials == 0`); for Monte-Carlo each panel runs `trials`
-/// simulations on a distance-derived seed. Both go through the
-/// engine-tagged PDF memo cache.
+/// The three Fig. 4 panels (1-, 4- and 7-step shifts) from the
+/// requested engine, recording into `obs` (see [`position_pdf_engine`]).
+/// For Monte-Carlo each panel runs `trials` simulations on a
+/// distance-derived seed.
 pub fn figure4_with_engine(
     params: &DeviceParams,
     trials: u64,
     seed: u64,
-    engine: crate::analytic::Engine,
+    engine: Engine,
     obs: &Obs,
 ) -> [PositionPdf; 3] {
     let panel = |d: u32| {
-        crate::pdfcache::position_pdf_cached_engine(
+        position_pdf_engine(
             params,
             d,
             trials,
@@ -438,13 +450,33 @@ mod tests {
 
     #[test]
     fn figure4_produces_three_panels() {
-        let panels = figure4(&DeviceParams::table1(), 50_000, 3);
+        let panels = figure4_with_engine(
+            &DeviceParams::table1(),
+            50_000,
+            3,
+            Engine::MonteCarlo,
+            &Obs::default(),
+        );
         assert_eq!(panels[0].distance, 1);
         assert_eq!(panels[1].distance, 4);
         assert_eq!(panels[2].distance, 7);
         for p in &panels {
             assert_eq!(p.bins.len(), 7);
         }
+    }
+
+    #[test]
+    fn engine_dispatch_runs_the_selected_engine() {
+        let params = DeviceParams::table1();
+        let obs = Obs::default().with_metrics(true);
+        let mc = position_pdf_engine(&params, 3, 10_000, 77, Engine::MonteCarlo, &obs);
+        assert_eq!(mc, position_pdf(&params, 3, 10_000, 77));
+        let analytic = position_pdf_engine(&params, 3, 10_000, 77, Engine::Analytic, &obs);
+        assert_eq!(analytic, position_pdf_analytic(&params, 3));
+        assert_eq!(analytic.trials, 0);
+        let counts = obs.metrics().unwrap().snapshot();
+        assert_eq!(counts.counter("mc.trials"), Some(10_000));
+        assert_eq!(counts.counter("engine.analytic.pdfs"), Some(1));
     }
 
     #[test]

@@ -132,39 +132,6 @@ impl DeviceParams {
         0.5 * self.notch_width_nm / self.pitch_nm()
     }
 
-    /// The parameter set as raw `f64` bit patterns, in field order —
-    /// the hashable identity used by the Monte-Carlo PDF memo cache.
-    /// Bitwise equality is exactly the reproducibility contract: two
-    /// parameter sets with identical bits drive identical simulations.
-    pub fn bit_key(&self) -> [u64; 11] {
-        let Self {
-            wall_width_nm,
-            wall_width_rel_sigma,
-            pin_depth,
-            pin_depth_rel_sigma,
-            notch_width_nm,
-            notch_width_rel_sigma,
-            flat_width_nm,
-            flat_width_rel_sigma_of_d,
-            drive_ratio,
-            env_velocity_rel_sigma,
-            step_time_ns,
-        } = *self;
-        [
-            wall_width_nm.to_bits(),
-            wall_width_rel_sigma.to_bits(),
-            pin_depth.to_bits(),
-            pin_depth_rel_sigma.to_bits(),
-            notch_width_nm.to_bits(),
-            notch_width_rel_sigma.to_bits(),
-            flat_width_nm.to_bits(),
-            flat_width_rel_sigma_of_d.to_bits(),
-            drive_ratio.to_bits(),
-            env_velocity_rel_sigma.to_bits(),
-            step_time_ns.to_bits(),
-        ]
-    }
-
     /// Samples the per-stripe (process) parameters.
     pub fn sample_process(&self, rng: &mut SmallRng64) -> DeviceSample {
         let g = |rng: &mut SmallRng64, mean: f64, sigma: f64| mean + sigma * rng.next_gaussian();
@@ -314,15 +281,6 @@ mod tests {
         // ...but every relative sigma is worse.
         assert!(pma.notch_width_rel_sigma > inplane.notch_width_rel_sigma);
         assert!(pma.env_velocity_rel_sigma > inplane.env_velocity_rel_sigma);
-    }
-
-    #[test]
-    fn bit_key_separates_distinct_params() {
-        let a = DeviceParams::table1();
-        assert_eq!(a.bit_key(), DeviceParams::table1().bit_key());
-        assert_ne!(a.bit_key(), DeviceParams::perpendicular().bit_key());
-        assert_ne!(a.bit_key(), a.with_drive_ratio(2.1).bit_key());
-        assert_ne!(a.bit_key(), a.with_variation_scale(1.1).bit_key());
     }
 
     #[test]

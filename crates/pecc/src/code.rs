@@ -1,11 +1,10 @@
-//! The cyclic p-ECC code — re-exported from `rtm-codes` — plus the
-//! [`StripeChecker`] bridge that lets a [`crate::protected`] stripe run
-//! its bit-accurate tap check against either pattern family.
+//! The [`StripeChecker`] bridge that lets a [`crate::protected`]
+//! stripe run its bit-accurate tap check against either pattern
+//! family.
 //!
-//! The square-wave code and its phase-difference decoder moved to
-//! [`rtm_codes::cyclic`] so the deletion/insertion codecs can reuse the
-//! same [`Verdict`] vocabulary; the `rtm_pecc::code::{PeccCode,
-//! Verdict}` paths stay valid through these re-exports.
+//! The cyclic square-wave code ([`PeccCode`]) and its phase-difference
+//! decoder live in [`rtm_codes::cyclic`], beside the deletion/insertion
+//! codecs that share its [`Verdict`] vocabulary.
 //!
 //! A stripe protected by one of the stream codecs (Chee–Kiah multi-look
 //! or Vahid 2-DI) does not carry a cyclic pattern at all: its in-track
@@ -14,7 +13,7 @@
 //! of a full period — the structural property that trades the cyclic
 //! SDC floor for detected DUEs.
 
-pub use rtm_codes::{MarkerCode, PeccCode, Verdict};
+use rtm_codes::{MarkerCode, PeccCode, Verdict};
 
 use rtm_track::bit::Bit;
 
@@ -80,14 +79,6 @@ impl StripeChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reexported_paths_stay_valid() {
-        // Consumers name these as rtm_pecc::code::{PeccCode, Verdict}.
-        let code = PeccCode::secded();
-        assert_eq!(code.classify_offset(0), Verdict::Clean);
-        assert_eq!(code.classify_offset(1), Verdict::Correctable(1));
-    }
 
     #[test]
     fn checker_variants_share_the_decode_shape() {

@@ -10,9 +10,9 @@
 //! the repair). The group raises a DUE if any stripe's verdict is
 //! uncorrectable after the retry budget.
 
-use crate::code::Verdict;
 use crate::layout::{LayoutError, ProtectionKind};
 use crate::protected::ProtectedStripe;
+use rtm_codes::Verdict;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
 

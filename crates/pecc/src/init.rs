@@ -10,6 +10,7 @@
 //! under 20 ms.
 
 use crate::layout::PeccLayout;
+use rtm_codes::Verdict;
 use rtm_model::rates::OutOfStepRates;
 use rtm_model::shift::ShiftOutcome;
 use rtm_track::bit::Bit;
@@ -192,8 +193,7 @@ pub fn simulate_initialisation(
         // Clean run: slot s holds code bit (s - 1).
         let expected_index = (tap_base as i64) - 1;
         let verdict = checker.decode(expected_index, &observed);
-        let success =
-            verdict == crate::code::Verdict::Clean && tape.actual_offset() == code_len as i64;
+        let success = verdict == Verdict::Clean && tape.actual_offset() == code_len as i64;
         if success {
             return InitOutcome {
                 restarts,

@@ -19,8 +19,9 @@
 //! both stripe ends instead, shrinking the domain bill at the price of
 //! 1-step shift-and-write operation (Section 4.2.4).
 
-use crate::code::{MarkerCode, PeccCode, StripeChecker, Verdict};
+use crate::code::StripeChecker;
 use rtm_codes::{CheeKiahCodec, PositionCodec, Vahid2diCodec};
+use rtm_codes::{MarkerCode, PeccCode, Verdict};
 use rtm_track::geometry::StripeGeometry;
 use std::fmt;
 

@@ -8,8 +8,10 @@
 //! the believed head position: any phase difference *is* the position
 //! error.
 //!
-//! * [`code`] — the cyclic square-wave code, window extraction, and the
-//!   phase-difference decoder;
+//! * [`code`] — the tap checker a protected stripe runs after each
+//!   shift: the cyclic square-wave code of `rtm-codes` (window
+//!   extraction and the phase-difference decoder) or its aperiodic
+//!   marker;
 //! * [`layout`] — domain/port/guard budgets for SED, SECDED, the general
 //!   m-step construction, and the overhead-region variant p-ECC-O;
 //! * [`protected`] — a bit-accurate protected stripe that runs
@@ -20,7 +22,7 @@
 //! # Examples
 //!
 //! ```
-//! use rtm_pecc::code::{PeccCode, Verdict};
+//! use rtm_codes::{PeccCode, Verdict};
 //!
 //! // SECDED p-ECC (corrects ±1, detects ±2).
 //! let code = PeccCode::secded();
@@ -39,6 +41,5 @@ pub mod init;
 pub mod layout;
 pub mod protected;
 
-pub use code::{PeccCode, Verdict};
 pub use layout::{PeccLayout, ProtectionKind};
 pub use protected::ProtectedStripe;

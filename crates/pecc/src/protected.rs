@@ -22,8 +22,9 @@
 //! back-shift (which may itself suffer an error — callers re-check, as
 //! the paper's controller does).
 
-use crate::code::{StripeChecker, Verdict};
+use crate::code::StripeChecker;
 use crate::layout::{LayoutError, PeccLayout, ProtectionKind};
+use rtm_codes::Verdict;
 use rtm_track::bit::Bit;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;

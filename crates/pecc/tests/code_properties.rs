@@ -1,6 +1,6 @@
 //! Property tests for the cyclic p-ECC code.
 
-use rtm_pecc::code::{PeccCode, Verdict};
+use rtm_codes::{PeccCode, Verdict};
 use rtm_util::check::{run_cases, Gen};
 
 /// Windows are unique within a period for every strength.

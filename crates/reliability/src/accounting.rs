@@ -8,8 +8,8 @@
 //! (`DUE`). Reference targets follow the paper's Section 2.2: IBM's
 //! 1000-year SDC and 10-year DUE goals.
 
+use rtm_codes::Verdict;
 use rtm_model::rates::OutOfStepRates;
-use rtm_pecc::code::Verdict;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_util::units::{Seconds, SECONDS_PER_YEAR};
 use std::collections::BTreeMap;

@@ -10,9 +10,9 @@
 //! actually happened to the stripe — including whether the data is
 //! silently desynchronised.
 
+use rtm_codes::Verdict;
 use rtm_model::alias::AliasTable;
 use rtm_model::shift::ShiftOutcome;
-use rtm_pecc::code::Verdict;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_pecc::protected::ProtectedStripe;
 use rtm_track::fault::FaultModel;

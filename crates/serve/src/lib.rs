@@ -51,7 +51,7 @@ pub mod policy;
 pub mod sim;
 
 pub use parallel::{
-    run_mutex, run_oracle, run_parallel, GroupRouter, ServeStats, ShiftCommand, ThroughputConfig,
+    run_oracle, run_parallel, GroupRouter, ServeStats, ShiftCommand, ThroughputConfig,
 };
 pub use policy::SchedPolicy;
 pub use sim::{

@@ -1,4 +1,4 @@
-//! Bit-accurate racetrack memory stripes and arrays.
+//! Bit-accurate racetrack memory stripes.
 //!
 //! A racetrack stripe is a magnetic nanowire storing one bit per domain;
 //! access ports are fixed transistor stacks the data must be *shifted*
@@ -11,9 +11,11 @@
 //! * [`stripe`] — the physical tape: cells, the alignment state, and
 //!   shift application with data falling off the ends;
 //! * [`fault`] — pluggable shift fault models (ideal, calibrated to the
-//!   paper's Table 2, scripted for tests);
-//! * [`array`](mod@array) — lockstep groups of stripes holding one cache line
-//!   (the paper interleaves a 64 B line over 512 stripes).
+//!   paper's Table 2, scripted for tests).
+//!
+//! Lockstep groups of stripes holding one cache line (the paper
+//! interleaves a 64 B line over 512 stripes) are modelled by
+//! `rtm_pecc::group::ProtectedGroup`.
 //!
 //! # Examples
 //!
@@ -32,14 +34,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod array;
 pub mod bit;
 pub mod fault;
 pub mod geometry;
 pub mod ports;
 pub mod stripe;
 
-pub use array::StripeArray;
 pub use bit::Bit;
 pub use fault::{
     AliasFaultModel, CalibratedFaultModel, EngineFaultModel, FaultModel, FaultModelChoice,

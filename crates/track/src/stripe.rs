@@ -266,40 +266,6 @@ impl SegmentedStripe {
         }
     }
 
-    /// Reconstructs the exact state a [`SegmentedStripe::zeroed`] stripe
-    /// reaches after `commands` error-free shift commands whose head
-    /// trajectory stayed inside `[0, max_shift]` and ended at `head`.
-    ///
-    /// This is the materialisation path of the lazy "pristine" fast path:
-    /// as long as every shift of a zeroed stripe lands cleanly in range,
-    /// the cell image is history-independent — `head` unknown cells pushed
-    /// in on the left, the zeroed data window, and the remaining overhead —
-    /// so a group can defer allocating per-stripe state and rebuild it
-    /// bit-identically on first divergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head > geometry.max_shift()`.
-    pub fn pristine_at(geometry: StripeGeometry, head: usize, commands: u64) -> Self {
-        assert!(
-            head <= geometry.max_shift(),
-            "pristine head {head} outside [0, {}]",
-            geometry.max_shift()
-        );
-        let mut cells = vec![Bit::Unknown; geometry.total_len()];
-        for c in cells.iter_mut().skip(head).take(geometry.data_len()) {
-            *c = Bit::Zero;
-        }
-        let mut stripe = Stripe::with_cells(cells);
-        stripe.actual_offset = head as i64;
-        stripe.shifts_applied = commands;
-        Self {
-            stripe,
-            geometry,
-            believed_head: head as i64,
-        }
-    }
-
     /// Creates a stripe with the given data-domain contents.
     ///
     /// # Panics
@@ -528,20 +494,6 @@ mod tests {
         assert_eq!(s.read_domain(0).unwrap(), Bit::One);
         assert_eq!(s.read_domain(15).unwrap(), Bit::One);
         assert_eq!(s.read_domain(8).unwrap(), Bit::Zero);
-    }
-
-    #[test]
-    fn pristine_at_matches_eager_trajectory() {
-        let geom = StripeGeometry::paper_default();
-        let mut eager = SegmentedStripe::zeroed(geom);
-        for &t in &[3usize, 7, 2, 5, 0, 4] {
-            eager.seek(t).unwrap();
-        }
-        assert_eq!(eager, SegmentedStripe::pristine_at(geom, 4, 6));
-        assert_eq!(
-            SegmentedStripe::zeroed(geom),
-            SegmentedStripe::pristine_at(geom, 0, 0)
-        );
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! 500 000), prints the per-bin distributions with ASCII bars, and
 //! compares the regenerated rate table against the paper's calibration.
 
-use hifi_rtm::model::montecarlo::{figure4, PositionBin};
+use hifi_rtm::model::analytic::Engine;
+use hifi_rtm::model::montecarlo::{figure4_with_engine, PositionBin};
 use hifi_rtm::model::params::DeviceParams;
 use hifi_rtm::model::rates::OutOfStepRates;
 use hifi_rtm::model::shift::NoiseModel;
+use hifi_rtm::obs::Obs;
 
 fn main() {
     let trials: u64 = std::env::args()
@@ -29,7 +31,7 @@ fn main() {
     );
 
     println!("Figure 4: position-error PDFs ({trials} raw shifts per panel)\n");
-    let panels = figure4(&params, trials, 2015);
+    let panels = figure4_with_engine(&params, trials, 2015, Engine::MonteCarlo, &Obs::default());
     for pdf in &panels {
         println!("  {}-step shift:", pdf.distance);
         for (i, bin) in PositionBin::FIG4.iter().enumerate() {

@@ -9,8 +9,8 @@
 //! showing the tap windows, and demonstrates how each error magnitude
 //! is classified (including the aliasing blind spots).
 
+use hifi_rtm::codes::{PeccCode, Verdict};
 use hifi_rtm::model::shift::ShiftOutcome;
-use hifi_rtm::pecc::code::{PeccCode, Verdict};
 use hifi_rtm::pecc::layout::{PeccLayout, ProtectionKind};
 use hifi_rtm::pecc::protected::ProtectedStripe;
 use hifi_rtm::track::fault::ScriptedFaultModel;

@@ -8,10 +8,10 @@
 //! p-ECC, adaptive safe distance), injects an out-of-step shift error,
 //! and shows the p-ECC transaction detecting and repairing it.
 
+use hifi_rtm::codes::Verdict;
 use hifi_rtm::controller::controller::ShiftPolicy;
 use hifi_rtm::core::RtmConfig;
 use hifi_rtm::model::shift::ShiftOutcome;
-use hifi_rtm::pecc::code::Verdict;
 use hifi_rtm::track::bit::Bit;
 use hifi_rtm::track::fault::{IdealFaultModel, ScriptedFaultModel};
 

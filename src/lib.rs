@@ -9,6 +9,7 @@
 //! [`core::experiments`] regenerates every table and figure in the paper's
 //! evaluation. See `README.md` for a guided tour.
 
+pub use rtm_codes as codes;
 pub use rtm_controller as controller;
 pub use rtm_core as core;
 pub use rtm_cost as cost;

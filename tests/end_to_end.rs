@@ -77,14 +77,14 @@ fn config_builder_to_controller_to_stripe_agree() {
     let mut faults = hifi_rtm::track::fault::ScriptedFaultModel::new([
         hifi_rtm::model::shift::ShiftOutcome::Pinned { offset: 1 },
     ]);
-    let mut worst = hifi_rtm::pecc::code::Verdict::Clean;
+    let mut worst = hifi_rtm::codes::Verdict::Clean;
     for &d in &plan.sequence {
         let v = stripe.shift_checked(d as i64, &mut faults, 3);
-        if v != hifi_rtm::pecc::code::Verdict::Clean {
+        if v != hifi_rtm::codes::Verdict::Clean {
             worst = v;
         }
     }
-    assert_eq!(worst, hifi_rtm::pecc::code::Verdict::Clean);
+    assert_eq!(worst, hifi_rtm::codes::Verdict::Clean);
     assert!(stripe.is_synchronised());
     assert_eq!(stripe.believed_head(), 7);
 }

@@ -1,12 +1,12 @@
 //! Property-based tests over the core invariants, spanning crates.
 
+use hifi_rtm::codes::{PeccCode, Verdict};
 use hifi_rtm::controller::safety::SafetyBudget;
 use hifi_rtm::controller::sequence::SequenceTable;
 use hifi_rtm::mem::cache::{AccessKind, Cache};
 use hifi_rtm::model::rates::{mttf_for_error_rate, OutOfStepRates};
 use hifi_rtm::model::shift::ShiftOutcome;
 use hifi_rtm::model::sts::StsTiming;
-use hifi_rtm::pecc::code::{PeccCode, Verdict};
 use hifi_rtm::pecc::layout::ProtectionKind;
 use hifi_rtm::pecc::protected::ProtectedStripe;
 use hifi_rtm::track::bit::Bit;
