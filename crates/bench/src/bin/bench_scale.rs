@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! cargo run --release -p rtm-bench --bin bench-scale -- \
-//!     --quick --check --max-rss-mb 2048 --out BENCH_scale.json
+//!     --quick --check --max-rss-mb 64 --out BENCH_scale.json
 //! ```
 
 use rtm_mem::cache::AccessKind;

@@ -359,10 +359,7 @@ impl ShiftController {
         let mut sdc = 0.0f64;
         let mut corrections = 0.0f64;
         for &d in sequence {
-            latency += self.timing.shift_cycles(d).count();
-            if protected {
-                latency += PECC_CHECK_CYCLES;
-            }
+            latency += self.shift_latency(d);
             let (s, u, c) = self.classify_risk(d);
             sdc += s;
             due += u;
@@ -376,6 +373,18 @@ impl ShiftController {
             sdc_risk: sdc,
             expected_corrections: corrections,
         }
+    }
+
+    /// Latency in cycles of one standalone `d`-step shift and its p-ECC
+    /// check, if the scheme has one: the latency [`Self::cost_sequence`]
+    /// gives for `&[d]`, without allocating or splitting the risk.
+    pub fn shift_latency(&self, d: u32) -> u64 {
+        let check = if matches!(self.kind, ProtectionKind::None) {
+            0
+        } else {
+            PECC_CHECK_CYCLES
+        };
+        self.timing.shift_cycles(d).count() + check
     }
 
     /// Splits the error probability mass of one `d`-step shift into
@@ -581,6 +590,30 @@ mod tests {
         let with = ctl.expected_latency_with_corrections(&plan);
         assert!(with > base, "expectation must add something");
         assert!(with - base < 1e-2, "correction overhead {}", with - base);
+    }
+
+    #[test]
+    fn shift_latency_matches_a_one_shift_sequence() {
+        let kinds = [
+            ProtectionKind::None,
+            ProtectionKind::Sed,
+            ProtectionKind::SECDED,
+            ProtectionKind::Correcting { m: 2 },
+            ProtectionKind::SECDED_O,
+            ProtectionKind::OverheadRegion { m: 2 },
+            ProtectionKind::CHEE_KIAH,
+            ProtectionKind::VAHID_2DI,
+        ];
+        for kind in kinds {
+            let ctl = ShiftController::new(kind, ShiftPolicy::Unconstrained);
+            for d in 1..=MAX_TABULATED_DISTANCE {
+                assert_eq!(
+                    ctl.shift_latency(d),
+                    ctl.cost_sequence(&[d]).latency.count(),
+                    "{kind:?}, d = {d}"
+                );
+            }
+        }
     }
 
     #[test]

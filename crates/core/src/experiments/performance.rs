@@ -164,7 +164,7 @@ pub fn figure15_experiment(interval_cycles: u64, obs: &Obs) -> Vec<Figure15Row> 
             let baseline_mean = |ctl: &ShiftController| -> f64 {
                 // Average over the uniform distance mix.
                 (1..=max_d)
-                    .map(|d| ctl.cost_sequence(&[d]).latency.count() as f64)
+                    .map(|d| ctl.shift_latency(d) as f64)
                     .sum::<f64>()
                     / max_d as f64
             };

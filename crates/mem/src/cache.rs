@@ -74,55 +74,66 @@ impl CacheStats {
     }
 }
 
-/// Line state flag bits (structure-of-arrays storage).
-const VALID: u8 = 1;
-const DIRTY: u8 = 2;
-
-/// Bank-major storage permutation (see [`Cache::with_bank_layout`]).
-#[derive(Debug, Clone, Copy)]
-struct BankLayout {
-    banks: u64,
-    group_sets: u64,
-    groups_per_bank: u64,
-}
+/// A line's dirty bit, kept in the top bit of its stamp word. The LRU
+/// tick counts accesses from 1, so it never reaches this bit.
+const DIRTY: u64 = 1 << 63;
 
 /// A set-associative write-back, write-allocate cache.
 ///
-/// Line state is held as parallel arrays (tags and LRU stamps as the
-/// two halves of one block, flag bytes alongside) rather than an array
-/// of structs. Two things follow:
+/// The directory is lazy and touch-ordered:
 ///
-/// * **construction is O(1) in touched memory** — all three arrays
-///   are all-zero, so `vec![0; n]` takes the allocator's zeroed-page
-///   path and a 128 MB LLC's 2 Mi-line directory costs microseconds
-///   to build instead of a ~50 MB write. Pages fault in only for the
-///   sets a run actually touches, which is what lets the per-bank
-///   serving workers each own a private cache without paying for the
-///   whole directory up front;
-/// * **probes touch less memory** — a 16-way tag scan reads two cache
-///   lines of tags instead of six of interleaved struct fields.
-#[derive(Debug, Clone)]
+/// * a **slot table** holds one `u32` per set: 0 while the set has never
+///   been touched, else 1 + the index of the set's block;
+/// * a **block arena** holds one block per touched set, appended in
+///   first-touch order. A block is `ways` tags followed by `ways` stamp
+///   words; a stamp word is 0 for an invalid way, else the LRU tick of
+///   the way's last access (larger = more recent) with its top bit set for
+///   a dirty line. Lines are never invalidated, so a nonzero stamp is
+///   the valid bit.
+///
+/// Three things follow:
+///
+/// * **resident memory follows the sets a run touches**, not capacity.
+///   A fresh 128 MB LLC is a 512 KiB zeroed slot table plus an arena
+///   reserved at `2 × lines` words (the same virtual size as a dense
+///   directory) that no page backs until a block is appended. A run's
+///   misses on random sets therefore fault in the arena densely, page
+///   after page, instead of scattering faults over three dense arrays;
+/// * **the arena never moves** — it is reserved once for every set, and
+///   [`Clone`] keeps that reservation, so first touches never
+///   reallocate or copy. A per-bank serving worker that only touches
+///   its own banks gets a dense private directory without any storage
+///   permutation;
+/// * **probes of untouched sets read only their slot** —
+///   [`Cache::probe`] and [`Cache::victim_way`] return `None` and way 0
+///   without allocating.
+#[derive(Debug)]
 pub struct Cache {
-    /// Tags then LRU stamps (larger = more recent, 0 = never touched),
-    /// back to back in one backing allocation: `meta[i]` is line `i`'s
-    /// tag, `meta[lines + i]` its stamp. One big block instead of two
-    /// halves matters beyond locality: glibc caps its dynamic mmap
-    /// threshold at 32 MiB, so a 128 MB LLC's combined directory
-    /// (> 32 MiB, padded) always comes from fresh zeroed pages, while
-    /// two 16 MiB halves fall back to recycled heap memory — which
-    /// `calloc` must then memset — as soon as the process has ever
-    /// freed a directory. The serving benchmarks build per-worker
-    /// caches in a loop and would pay that memset on every build.
-    meta: Vec<u64>,
-    flags: Vec<u8>,
+    /// Per set: 0 = never touched, else 1 + its block index in `blocks`.
+    slots: Vec<u32>,
+    /// Blocks of `2 × ways` words (tags, then stamp words), one per
+    /// touched set in first-touch order.
+    blocks: Vec<u64>,
     sets: u64,
     ways: u32,
     line_shift: u32,
     tick: u64,
     stats: CacheStats,
-    /// Optional bank-major relocation of set storage. `None` = sets
-    /// stored in index order.
-    layout: Option<BankLayout>,
+}
+
+impl Clone for Cache {
+    /// Copies the touched blocks into an arena with the same
+    /// reservation (`Vec::clone` would drop the spare capacity, and the
+    /// clone's next first touch would reallocate and copy).
+    fn clone(&self) -> Self {
+        let mut blocks = Vec::with_capacity(self.blocks.capacity());
+        blocks.extend_from_slice(&self.blocks);
+        Self {
+            slots: self.slots.clone(),
+            blocks,
+            ..*self
+        }
+    }
 }
 
 impl Cache {
@@ -132,7 +143,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics unless capacity divides evenly into sets of power-of-two
-    /// lines.
+    /// lines, and unless the set count fits a `u32` slot.
     pub fn new(capacity_bytes: u64, ways: u32, line_bytes: u32) -> Self {
         assert!(line_bytes.is_power_of_two(), "line size must be 2^n");
         assert!(ways > 0, "need at least one way");
@@ -142,65 +153,28 @@ impl Cache {
             "capacity {capacity_bytes} does not divide into {ways}-way sets"
         );
         let sets = total_lines / ways as u64;
-        // Pad the tag+stamp block past glibc's 32 MiB mmap-threshold
-        // cap (see the field doc); the pad pages are never touched.
-        let pad = 64 * 1024;
+        assert!(
+            u32::try_from(sets).is_ok(),
+            "{sets} sets overflow a u32 slot"
+        );
         Self {
-            meta: vec![0; 2 * total_lines as usize + pad],
-            flags: vec![0; total_lines as usize],
+            slots: vec![0; sets as usize],
+            blocks: Vec::with_capacity(2 * total_lines as usize),
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
-            layout: None,
         }
     }
 
-    /// Relocates set storage bank-major (builder style): with groups of
-    /// `group_sets` consecutive sets interleaved round-robin over
-    /// `banks`, each bank's directory becomes one contiguous run of the
-    /// tag/stamp/flag arrays instead of a 4-set comb strided across
-    /// every page.
-    ///
-    /// This is a pure storage permutation — lookups, LRU, eviction and
-    /// every counter are bit-for-bit unchanged (each logical set keeps
-    /// its own ways; only *where* they live moves). What changes is
-    /// locality: a worker that services one bank faults in and walks
-    /// only that bank's slice of the directory, which is what keeps the
-    /// per-bank serving path's page-fault footprint proportional to the
-    /// banks it owns rather than to the whole LLC.
-    ///
-    /// No-op when the geometry does not divide evenly (or `banks < 2`).
-    pub fn with_bank_layout(mut self, banks: u32, group_sets: u32) -> Self {
-        let (banks, group_sets) = (banks as u64, group_sets as u64);
-        if banks >= 2 && group_sets >= 1 && self.sets.is_multiple_of(group_sets) {
-            let groups = self.sets / group_sets;
-            if groups.is_multiple_of(banks) {
-                self.layout = Some(BankLayout {
-                    banks,
-                    group_sets,
-                    groups_per_bank: groups / banks,
-                });
-            }
-        }
-        self
-    }
-
-    /// Total line slots (the stamp half of `meta` starts here).
-    fn lines(&self) -> usize {
-        (self.sets * self.ways as u64) as usize
-    }
-
-    /// Where `set`'s ways live in the parallel arrays.
-    fn storage_set(&self, set: u64) -> u64 {
-        match self.layout {
-            None => set,
-            Some(l) => {
-                let group = set / l.group_sets;
-                let storage_group = (group % l.banks) * l.groups_per_bank + group / l.banks;
-                storage_group * l.group_sets + set % l.group_sets
-            }
+    /// `set`'s block (tags, then stamp words), or `None` if the set has
+    /// never been touched.
+    fn block(&self, set: u64) -> Option<&[u64]> {
+        let n = 2 * self.ways as usize;
+        match self.slots[set as usize] {
+            0 => None,
+            slot => Some(&self.blocks[(slot as usize - 1) * n..][..n]),
         }
     }
 
@@ -234,96 +208,83 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> Option<u32> {
         let line_addr = addr >> self.line_shift;
         let tag = line_addr / self.sets;
-        let base = self.storage_set(line_addr % self.sets) as usize * self.ways as usize;
-        (0..self.ways as usize)
-            .position(|w| self.flags[base + w] & VALID != 0 && self.meta[base + w] == tag)
-            .map(|w| w as u32)
+        let (tags, stamps) = self
+            .block(line_addr % self.sets)?
+            .split_at(self.ways as usize);
+        find_way(tags, stamps, tag).map(|w| w as u32)
     }
 
     /// The way a miss on `set` would allocate into right now (invalid
     /// way first, else LRU victim), without changing any state. This is
     /// exactly the way [`Cache::access`] would pick if called next.
     pub fn victim_way(&self, set: u64) -> u32 {
-        let base = self.storage_set(set) as usize * self.ways as usize;
-        let sb = self.lines();
-        (0..self.ways as usize)
-            .min_by_key(|&w| {
-                if self.flags[base + w] & VALID != 0 {
-                    self.meta[sb + base + w]
-                } else {
-                    0
-                }
-            })
-            .expect("sets are never empty") as u32
+        self.block(set)
+            .map_or(0, |b| lru_way(&b[self.ways as usize..]) as u32)
     }
 
     /// Looks up `addr`, allocating on miss (write-allocate) and
     /// evicting LRU. Returns what happened.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
         self.tick += 1;
-        match kind {
-            AccessKind::Read => self.stats.reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
-        }
+        let dirty = match kind {
+            AccessKind::Read => {
+                self.stats.reads += 1;
+                0
+            }
+            AccessKind::Write => {
+                self.stats.writes += 1;
+                DIRTY
+            }
+        };
         let line_addr = addr >> self.line_shift;
         let tag = line_addr / self.sets;
-        let set = (line_addr % self.sets) as usize;
-        let base = self.storage_set(set as u64) as usize * self.ways as usize;
+        let set = line_addr % self.sets;
         let ways = self.ways as usize;
-        let sb = self.lines();
-
-        // Hit path: a contiguous tag scan.
-        for w in 0..ways {
-            let i = base + w;
-            if self.flags[i] & VALID != 0 && self.meta[i] == tag {
-                self.meta[sb + i] = self.tick;
-                if kind == AccessKind::Write {
-                    self.flags[i] |= DIRTY;
-                }
-                self.stats.hits += 1;
-                return AccessResult::Hit { way: w as u32 };
-            }
+        let slot = &mut self.slots[set as usize];
+        if *slot == 0 {
+            // First touch: append an all-invalid block. The arena is
+            // reserved for every set, so this never reallocates.
+            self.blocks.resize(self.blocks.len() + 2 * ways, 0);
+            *slot = (self.blocks.len() / (2 * ways)) as u32;
         }
-        // Miss: pick invalid way or LRU victim.
+        let base = (*slot as usize - 1) * 2 * ways;
+        let (tags, stamps) = self.blocks[base..base + 2 * ways].split_at_mut(ways);
+
+        if let Some(w) = find_way(tags, stamps, tag) {
+            stamps[w] = self.tick | (stamps[w] & DIRTY) | dirty;
+            self.stats.hits += 1;
+            return AccessResult::Hit { way: w as u32 };
+        }
         self.stats.misses += 1;
-        let victim_way = (0..ways)
-            .min_by_key(|&w| {
-                if self.flags[base + w] & VALID != 0 {
-                    self.meta[sb + base + w]
-                } else {
-                    0
-                }
-            })
-            .expect("sets are never empty");
-        let i = base + victim_way;
-        let writeback = if self.flags[i] & (VALID | DIRTY) == VALID | DIRTY {
+        let w = lru_way(stamps);
+        let writeback = if stamps[w] & DIRTY != 0 {
             self.stats.writebacks += 1;
-            let victim_line = self.meta[i] * self.sets + set as u64;
-            Some(victim_line << self.line_shift)
+            Some((tags[w] * self.sets + set) << self.line_shift)
         } else {
             None
         };
-        self.meta[i] = tag;
-        self.meta[sb + i] = self.tick;
-        self.flags[i] = if kind == AccessKind::Write {
-            VALID | DIRTY
-        } else {
-            VALID
-        };
+        tags[w] = tag;
+        stamps[w] = self.tick | dirty;
         AccessResult::Miss {
-            way: victim_way as u32,
+            way: w as u32,
             writeback,
         }
     }
+}
 
-    /// Invalidates everything (e.g. between workload runs).
-    pub fn clear(&mut self) {
-        let sb = self.lines();
-        self.flags.fill(0);
-        self.meta[sb..2 * sb].fill(0);
-        self.tick = 0;
-        self.stats = CacheStats::default();
-    }
+/// The valid way of a block holding `tag`, if any.
+fn find_way(tags: &[u64], stamps: &[u64], tag: u64) -> Option<usize> {
+    tags.iter()
+        .zip(stamps)
+        .position(|(&t, &s)| t == tag && s != 0)
+}
+
+/// The way a miss allocates into: the first invalid way (stamp 0), else
+/// the least recently used.
+fn lru_way(stamps: &[u64]) -> usize {
+    (0..stamps.len())
+        .min_by_key(|&w| stamps[w] & !DIRTY)
+        .expect("sets are never empty")
 }
 
 #[cfg(test)]
@@ -422,15 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut c = small();
-        c.access(0, AccessKind::Write);
-        c.clear();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(!c.access(0, AccessKind::Read).is_hit());
-    }
-
-    #[test]
     fn probe_predicts_access_without_perturbing() {
         let mut c = small();
         c.access(0x1000, AccessKind::Read);
@@ -465,44 +417,223 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bank_layout_is_a_pure_storage_permutation() {
-        // 64 sets, 2 ways; 4-set groups over 4 banks. Every access must
-        // report the identical result with and without the relocation.
-        let mut plain = Cache::new(64 * 2 * 64, 2, 64);
-        let mut banked = Cache::new(64 * 2 * 64, 2, 64).with_bank_layout(4, 4);
+    /// A dense directory in the shape of the textbook model: every
+    /// line's tag, valid and dirty bits and LRU stamp, allocated up
+    /// front. [`Cache`] must match it access for access.
+    struct DenseReference {
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        valid: Vec<bool>,
+        dirty: Vec<bool>,
+        sets: u64,
+        ways: usize,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl DenseReference {
+        fn new(capacity_bytes: u64, ways: u32) -> Self {
+            let lines = (capacity_bytes / 64) as usize;
+            Self {
+                tags: vec![0; lines],
+                stamps: vec![0; lines],
+                valid: vec![false; lines],
+                dirty: vec![false; lines],
+                sets: lines as u64 / ways as u64,
+                ways: ways as usize,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn probe(&self, addr: u64) -> Option<u32> {
+            let (set, tag) = ((addr >> 6) % self.sets, (addr >> 6) / self.sets);
+            let base = set as usize * self.ways;
+            (0..self.ways)
+                .find(|&w| self.valid[base + w] && self.tags[base + w] == tag)
+                .map(|w| w as u32)
+        }
+
+        fn victim_way(&self, set: u64) -> u32 {
+            let base = set as usize * self.ways;
+            let key = |w: usize| self.valid[base + w].then_some(self.stamps[base + w]);
+            (0..self.ways).min_by_key(|&w| key(w)).unwrap() as u32
+        }
+
+        fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
+            self.tick += 1;
+            let write = kind == AccessKind::Write;
+            if write {
+                self.stats.writes += 1;
+            } else {
+                self.stats.reads += 1;
+            }
+            let (set, tag) = ((addr >> 6) % self.sets, (addr >> 6) / self.sets);
+            let base = set as usize * self.ways;
+            if let Some(w) = self.probe(addr) {
+                let i = base + w as usize;
+                self.stamps[i] = self.tick;
+                self.dirty[i] |= write;
+                self.stats.hits += 1;
+                return AccessResult::Hit { way: w };
+            }
+            self.stats.misses += 1;
+            let w = self.victim_way(set);
+            let i = base + w as usize;
+            let writeback = (self.valid[i] && self.dirty[i]).then(|| {
+                self.stats.writebacks += 1;
+                (self.tags[i] * self.sets + set) << 6
+            });
+            self.tags[i] = tag;
+            self.stamps[i] = self.tick;
+            self.valid[i] = true;
+            self.dirty[i] = write;
+            AccessResult::Miss { way: w, writeback }
+        }
+    }
+
+    /// Drives `Cache` and the dense reference with `n` mixed reads and
+    /// writes: mostly a hot range of `hot_sets` sets with `tags` tags
+    /// each (so sets fill, hit and evict), one access in eight to a
+    /// uniformly random line anywhere. Before every access both are
+    /// also asked about a random, usually untouched, set.
+    fn check_against_dense(capacity_bytes: u64, ways: u32, hot_sets: u64, tags: u64, n: u64) {
+        let mut cache = Cache::new(capacity_bytes, ways, 64);
+        let mut dense = DenseReference::new(capacity_bytes, ways);
+        let sets = cache.sets();
         let mut x = 0x2015_u64;
-        for i in 0..20_000u64 {
+        let mut next = || {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let addr = (x >> 16) % (1 << 20);
-            let kind = if i % 3 == 0 {
+            x >> 16
+        };
+        let (mut hits, mut writebacks) = (0, 0);
+        for i in 0..n {
+            let r = next();
+            let line = if r % 8 == 0 {
+                next() % (1 << 40)
+            } else {
+                (r / 8 % tags) * sets + next() % hot_sets
+            };
+            let addr = (line << 6) | (next() % 64);
+            let kind = if next() % 3 == 0 {
                 AccessKind::Write
             } else {
                 AccessKind::Read
             };
-            assert_eq!(plain.probe(addr), banked.probe(addr));
+            let other = next() % sets;
             assert_eq!(
-                plain.victim_way(plain.set_of(addr)),
-                banked.victim_way(banked.set_of(addr))
-            );
-            assert_eq!(
-                plain.access(addr, kind),
-                banked.access(addr, kind),
+                cache.victim_way(other),
+                dense.victim_way(other),
                 "access {i}"
             );
+            assert_eq!(
+                cache.probe(other << 6),
+                dense.probe(other << 6),
+                "access {i}"
+            );
+            assert_eq!(cache.probe(addr), dense.probe(addr), "access {i}");
+            let set = cache.set_of(addr);
+            assert_eq!(cache.victim_way(set), dense.victim_way(set), "access {i}");
+            let got = cache.access(addr, kind);
+            assert_eq!(got, dense.access(addr, kind), "access {i}");
+            hits += got.is_hit() as u64;
+            writebacks += matches!(
+                got,
+                AccessResult::Miss {
+                    writeback: Some(_),
+                    ..
+                }
+            ) as u64;
         }
-        assert_eq!(plain.stats(), banked.stats());
+        assert_eq!(*cache.stats(), dense.stats);
+        assert!(
+            hits > n / 10 && writebacks > n / 50,
+            "{hits} hits, {writebacks} writebacks"
+        );
     }
 
     #[test]
-    fn bank_layout_rejects_uneven_geometry() {
-        // 6 groups over 4 banks does not divide: stays identity (and
-        // still behaves) rather than permuting unevenly.
-        let mut c = Cache::new(24 * 2 * 64, 2, 64).with_bank_layout(4, 4);
-        assert!(!c.access(0, AccessKind::Read).is_hit());
-        assert!(c.access(0, AccessKind::Read).is_hit());
+    fn matches_a_dense_directory_at_a_toy_geometry() {
+        // 64 sets x 2 ways.
+        check_against_dense(64 * 2 * 64, 2, 64, 5, 20_000);
+    }
+
+    #[test]
+    fn matches_a_dense_directory_at_the_paper_llc_geometry() {
+        // 128 MB, 16 ways: 128 Ki sets.
+        check_against_dense(128 << 20, 16, 512, 24, 24_000);
+    }
+
+    /// Blocks the arena holds.
+    fn resident_blocks(c: &Cache) -> usize {
+        c.blocks.len() / (2 * c.ways as usize)
+    }
+
+    #[test]
+    fn resident_blocks_follow_touched_sets() {
+        let mut c = Cache::new(128 << 20, 16, 64);
+        let stride = c.sets() * 64;
+        // Untouched sets: nothing to find, way 0 to fill, no block.
+        for set in (0..c.sets()).step_by(97) {
+            assert_eq!(c.probe(set * 64), None);
+            assert_eq!(c.victim_way(set), 0);
+        }
+        assert_eq!(resident_blocks(&c), 0);
+        // 300 distinct sets, each touched by 20 lines (so they evict).
+        let touched: Vec<u64> = (0..300).map(|i| i * 433 % c.sets()).collect();
+        for &set in &touched {
+            for tag in 0..20 {
+                c.access(tag * stride + set * 64, AccessKind::Write);
+            }
+        }
+        assert_eq!(resident_blocks(&c), touched.len());
+        for set in (0..c.sets()).filter(|s| !touched.contains(s)).step_by(89) {
+            assert_eq!(c.probe(set * 64), None);
+            assert_eq!(c.victim_way(set), 0);
+        }
+        assert_eq!(resident_blocks(&c), touched.len());
+        assert!(c.slots.iter().filter(|&&s| s != 0).count() == touched.len());
+    }
+
+    #[test]
+    fn clone_keeps_the_reservation_and_evolves_identically() {
+        let mut original = Cache::new(64 * 16 * 64, 16, 64);
+        let reserved = original.blocks.capacity();
+        assert!(reserved >= 2 * 64 * 16);
+        // Touch 8 of the 64 sets, so the clone is taken mid-fill.
+        for i in 0..500u64 {
+            original.access(
+                (i * 0x9e37 % 4096) * 64 * 64 + i % 8 * 64,
+                AccessKind::Write,
+            );
+        }
+        assert_eq!(resident_blocks(&original), 8);
+        let mut copy = original.clone();
+        assert_eq!(
+            copy.blocks.capacity(),
+            reserved,
+            "clone dropped the reservation"
+        );
+        let arena = copy.blocks.as_ptr();
+        for i in 0..20_000u64 {
+            let addr = i * 0x51_7cc1 % (1 << 22);
+            let kind = if i % 5 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            assert_eq!(copy.probe(addr), original.probe(addr));
+            assert_eq!(
+                copy.access(addr, kind),
+                original.access(addr, kind),
+                "access {i}"
+            );
+        }
+        assert_eq!(copy.stats(), original.stats());
+        assert_eq!(resident_blocks(&copy), 64, "every set touched");
+        assert_eq!(copy.blocks.as_ptr(), arena, "the clone's arena moved");
     }
 
     #[test]

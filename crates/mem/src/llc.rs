@@ -286,13 +286,7 @@ impl RacetrackLlc {
         assert!(banks > 0, "at least one bank required");
         let design = LlcDesign::racetrack();
         let geometry = StripeGeometry::paper_default();
-        // Bank-major directory storage: each bank's (4-set-per-group,
-        // round-robin-interleaved) sets become one contiguous slice, so
-        // a per-bank serving worker touches — and faults in — only its
-        // own banks' share of the arrays.
-        let sets_per_group = geometry.data_len() as u32 / 16;
-        let cache =
-            Cache::new(design.capacity_bytes, 16, 64).with_bank_layout(banks, sets_per_group);
+        let cache = Cache::new(design.capacity_bytes, 16, 64);
         let lines = design.capacity_bytes / 64;
         let groups = lines / geometry.data_len() as u64;
         Self {
@@ -353,7 +347,7 @@ impl RacetrackLlc {
     }
 
     /// Rebuilds the LLC at a different capacity (builder style), keeping
-    /// the bank layout, protection scheme and policies. The paper's
+    /// the bank count, protection scheme and policies. The paper's
     /// preset stays at 128 MB; GB-scale serving experiments override it
     /// here. Must be called before any traffic.
     ///
@@ -366,10 +360,8 @@ impl RacetrackLlc {
             self.cache.stats().reads + self.cache.stats().writes == 0,
             "capacity override must precede traffic"
         );
-        let banks = self.controllers.len() as u32;
-        let sets_per_group = self.geometry.data_len() as u32 / 16;
         self.design.capacity_bytes = capacity_bytes;
-        self.cache = Cache::new(capacity_bytes, 16, 64).with_bank_layout(banks, sets_per_group);
+        self.cache = Cache::new(capacity_bytes, 16, 64);
         let lines = capacity_bytes / 64;
         let groups = lines / self.geometry.data_len() as u64;
         self.heads = PagedBytes::new(groups as usize);
@@ -550,7 +542,7 @@ impl RacetrackLlc {
                 d => {
                     let group = self.group_of(addr);
                     let bank = group % self.controllers.len();
-                    self.controllers[bank].cost_sequence(&[d]).latency.count()
+                    self.controllers[bank].shift_latency(d)
                 }
             }
         };
@@ -855,7 +847,7 @@ mod tests {
             let est = llc.estimated_latency(addr, AccessKind::Read);
             let r = llc.access(addr, AccessKind::Read, i * 1000);
             // Unconstrained plans are exactly one sub-shift, so the
-            // cost_sequence estimate is exact.
+            // shift_latency estimate is exact.
             assert_eq!(est, r.latency_cycles, "access {i}");
         }
     }
