@@ -1,8 +1,9 @@
-//! Single- vs multi-thread wall-time comparison for the two hot paths
-//! the `rtm-par` pool serves: the Fig. 4 Monte-Carlo and the Fig. 14
-//! variant sweep. Emits a machine-readable `BENCH_parallel.json` and
-//! verifies that the multi-thread run reproduced the single-thread
-//! output bit for bit.
+//! Single- vs multi-thread determinism gate for the two hot paths the
+//! `rtm-par` pool serves: the Fig. 4 Monte-Carlo and the Fig. 14
+//! variant sweep. Emits a machine-readable `BENCH_parallel.json` of
+//! their model outputs and verifies that the multi-thread run
+//! reproduced the single-thread output bit for bit. Host time of the
+//! sweep is perfbench's `sweep` workload.
 //!
 //! ```text
 //! cargo run --release -p rtm-bench --bin bench-parallel
@@ -18,14 +19,6 @@ use rtm_model::montecarlo::{position_pdf_with_threads, PositionPdf};
 use rtm_model::params::DeviceParams;
 use rtm_obs::json::Json;
 use rtm_obs::Obs;
-use std::time::Instant;
-
-/// One timed leg: wall seconds plus whatever the run produced.
-fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64(), out)
-}
 
 fn fig4_mc(trials: u64, seed: u64, threads: usize) -> Vec<PositionPdf> {
     let params = DeviceParams::table1();
@@ -92,22 +85,17 @@ fn main() {
 
     let mut benches = Vec::new();
     let mut all_identical = true;
-    // The extra fields are deterministic model outputs, not wall
-    // clock: `obs-tool compare` gates them against the committed
-    // `BENCH_parallel.json` baseline.
-    let mut record = |name: &str, t1: f64, tn: f64, identical: bool, extra: Vec<(&str, Json)>| {
+    // The extra fields are deterministic model outputs: `obs-tool
+    // compare` gates them against the committed `BENCH_parallel.json`
+    // baseline.
+    let mut record = |name: &str, identical: bool, extra: Vec<(&str, Json)>| {
         eprintln!(
-            "{name}: 1 thread {t1:.3} s, {threads} threads {tn:.3} s \
-             ({:.2}x, outputs {})",
-            t1 / tn,
+            "{name}: 1 vs {threads} threads, outputs {}",
             if identical { "identical" } else { "DIFFER" }
         );
         all_identical &= identical;
         let mut fields = vec![
             ("name", Json::Str(name.to_string())),
-            ("secs_1_thread", Json::Num(t1)),
-            ("secs_n_threads", Json::Num(tn)),
-            ("speedup", Json::Num(t1 / tn)),
             ("identical_output", Json::Bool(identical)),
         ];
         fields.extend(extra);
@@ -115,13 +103,11 @@ fn main() {
     };
 
     eprintln!("fig4 Monte-Carlo ({mc_trials} trials x 3 panels)...");
-    let (t1, base) = timed(|| fig4_mc(mc_trials, 2015, 1));
-    let (tn, alt) = timed(|| fig4_mc(mc_trials, 2015, threads));
+    let base = fig4_mc(mc_trials, 2015, 1);
+    let alt = fig4_mc(mc_trials, 2015, threads);
     let success_sum: f64 = base.iter().map(PositionPdf::success_probability).sum();
     record(
         "fig4_montecarlo",
-        t1,
-        tn,
         base == alt,
         vec![("success_probability_sum", Json::Num(success_sum))],
     );
@@ -132,9 +118,8 @@ fn main() {
         RtVariant::ALL.len(),
         settings.accesses
     );
-    let (t1, base) = timed(|| SimSweep::run_variants_with_threads(&settings, &RtVariant::ALL, 1));
-    let (tn, alt) =
-        timed(|| SimSweep::run_variants_with_threads(&settings, &RtVariant::ALL, threads));
+    let base = SimSweep::run_variants_with_threads(&settings, &RtVariant::ALL, 1);
+    let alt = SimSweep::run_variants_with_threads(&settings, &RtVariant::ALL, threads);
     let cells: f64 = base.by_variant.values().map(|m| m.len() as f64).sum();
     let cycles: f64 = base
         .by_variant
@@ -150,8 +135,6 @@ fn main() {
         .sum();
     record(
         "fig14_sweep",
-        t1,
-        tn,
         base.by_variant == alt.by_variant,
         vec![
             ("cells", Json::Num(cells)),

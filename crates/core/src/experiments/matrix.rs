@@ -15,13 +15,16 @@
 //!   through a sampled racetrack hierarchy
 //!   ([`rtm_mem::hierarchy::Hierarchy::racetrack`]),
 //!   tallying how many concrete shift outcomes the fault model drew and
-//!   how many were position errors.
+//!   how many were position errors. Every cell runs the same trace, so
+//!   the cells replay one L1/L2 pass
+//!   ([`rtm_mem::hierarchy::Hierarchy::replay`]).
 //!
 //! Cells are independent, so the grid fans out across the `rtm-par`
 //! pool; sampling seeds derive from the settings seed and the cell's
 //! grid index (never the worker schedule) and results fold in strict
 //! grid order, so the matrix is bit-identical for any thread count.
 
+use super::sweep::SharedStreams;
 use rtm_controller::controller::ShiftPolicy;
 use rtm_controller::safety::SafetyBudget;
 use rtm_cost::overhead::{ProtectionOverhead, Scheme};
@@ -247,6 +250,15 @@ impl SchemeFaultMatrix {
             .flat_map(|&s| settings.fault_models.iter().map(move |&f| (s, f)))
             .collect();
         let progress = obs.progress("matrix", cells.len() as u64, "cells");
+        // Every cell runs the same trace, so they all replay one L1/L2
+        // pass.
+        let stream = SharedStreams::new(1, cells.len(), |_| {
+            let mut gen = TraceGenerator::new(
+                profile,
+                rtm_util::rng::derive_seed(settings.seed, 0x3A78_8000),
+            );
+            Hierarchy::filter(&mut gen, settings.accesses)
+        });
         let matrix = rtm_par::parallel_fold_with(
             threads,
             cells.len(),
@@ -259,12 +271,9 @@ impl SchemeFaultMatrix {
                 // independent of worker scheduling.
                 let seed = rtm_util::rng::derive_seed(settings.seed, 0x3A78_0000 + i as u64);
                 let sampling = Some((fault_model, settings.engine, seed));
-                let mut sys = Hierarchy::racetrack(kind, policy, sampling, obs.clone());
-                let mut gen = TraceGenerator::new(
-                    profile,
-                    rtm_util::rng::derive_seed(settings.seed, 0x3A78_8000),
-                );
-                let r = sys.run(&mut gen, settings.accesses);
+                let r = stream.replay(0, |s| {
+                    Hierarchy::racetrack(kind, policy, sampling, obs.clone()).replay(s)
+                });
                 progress.tick(1);
                 r
             },

@@ -3,21 +3,27 @@
 //! results.
 //!
 //! Cells of the grid are independent simulations, so the sweep fans
-//! them out across the `rtm-par` pool. Each cell's trace seed derives
-//! from the workload name alone (never the worker count or schedule),
-//! and results are folded into the sweep in strict grid order as they
-//! stream back — per-run gauges record at fold time, never from a
-//! worker thread — so sweep output and metrics are identical for any
-//! `--threads` setting and the collected-results Vec of earlier
-//! revisions is gone.
+//! them out across the `rtm-par` pool. The cells of one workload differ
+//! only in their LLC, so they share one L1/L2 pass: the first cell of a
+//! workload to run filters its trace ([`Hierarchy::filter`]), every
+//! cell replays that stream against its own LLC ([`Hierarchy::replay`],
+//! equal to a per-cell [`Hierarchy::run`]), and the last cell to finish
+//! drops it. Each cell's trace seed derives from the workload name
+//! alone (never the worker count or schedule), and results are folded
+//! into the sweep in strict grid order as they stream back — per-run
+//! gauges record at fold time, never from a worker thread — so sweep
+//! output and metrics are identical for any `--threads` setting.
 
 use rtm_controller::controller::ShiftPolicy;
 use rtm_mem::hierarchy::{Hierarchy, LlcChoice, SimResult};
+use rtm_mem::FilteredStream;
 use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{TraceGenerator, WorkloadProfile};
 use rtm_track::fault::FaultModelChoice;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -78,6 +84,16 @@ impl SweepSettings {
                 .filter_map(|n| WorkloadProfile::by_name(n))
                 .collect(),
         }
+    }
+
+    /// The seeded trace every cell of workload `p` runs.
+    fn generator(&self, p: WorkloadProfile) -> TraceGenerator {
+        TraceGenerator::new(p, rtm_util::rng::derive_seed(self.seed, seed_of(p.name)))
+    }
+
+    /// The L1/L2 pass every cell of workload `p` replays.
+    fn filter(&self, p: WorkloadProfile) -> FilteredStream {
+        Hierarchy::filter(&mut self.generator(p), self.accesses)
     }
 }
 
@@ -182,6 +198,9 @@ impl SimSweep {
             .flat_map(|&p| choices.iter().map(move |&c| (p, c)))
             .collect();
         let progress = obs.progress("sweep(choices)", cells.len() as u64, "cells");
+        let streams = SharedStreams::new(profiles.len(), choices.len(), |k| {
+            settings.filter(profiles[k])
+        });
         // Streaming fold: each cell's result is folded into the sweep in
         // strict grid order as soon as its predecessors have arrived, so
         // no worker-count-sized Vec of results accumulates and gauges
@@ -190,13 +209,10 @@ impl SimSweep {
             threads,
             cells.len(),
             |i| {
-                let (p, c) = cells[i];
-                let mut sys = Hierarchy::new(c, obs.clone());
-                let mut gen = TraceGenerator::new(
-                    p,
-                    rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
-                );
-                let r = sys.run(&mut gen, settings.accesses);
+                let c = cells[i].1;
+                let r = streams.replay(i / choices.len(), |s| {
+                    Hierarchy::new(c, obs.clone()).replay(s)
+                });
                 progress.tick(1);
                 r
             },
@@ -245,24 +261,23 @@ impl SimSweep {
             .flat_map(|&p| variants.iter().map(move |&v| (p, v)))
             .collect();
         let progress = obs.progress("sweep(variants)", cells.len() as u64, "cells");
+        let streams = SharedStreams::new(profiles.len(), variants.len(), |k| {
+            settings.filter(profiles[k])
+        });
         let sweep = rtm_par::parallel_fold_with(
             threads,
             cells.len(),
             |i| {
-                let (p, v) = cells[i];
-                let (kind, policy) = v.parts();
+                let (kind, policy) = cells[i].1.parts();
                 // Sampling seed from (sweep seed, grid index): fixed by
                 // the cell layout, independent of worker scheduling.
                 let sampling = settings.sample_engine.map(|engine| {
                     let seed = rtm_util::rng::derive_seed(settings.seed, 0x5EED_0000 + i as u64);
                     (settings.fault_model, engine, seed)
                 });
-                let mut sys = Hierarchy::racetrack(kind, policy, sampling, obs.clone());
-                let mut gen = TraceGenerator::new(
-                    p,
-                    rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
-                );
-                let r = sys.run(&mut gen, settings.accesses);
+                let r = streams.replay(i / variants.len(), |s| {
+                    Hierarchy::racetrack(kind, policy, sampling, obs.clone()).replay(s)
+                });
                 progress.tick(1);
                 r
             },
@@ -279,6 +294,56 @@ impl SimSweep {
         );
         progress.finish();
         sweep
+    }
+}
+
+/// Filtered streams shared by the grid cells that replay them, one
+/// slot per stream with a count of the cells still to replay it. The
+/// first cell to reach a slot filters its stream while later ones wait
+/// for it, and the last cell to finish drops it, so a stream lives only
+/// while its cells run.
+///
+/// Replays run inside [`rtm_mem::cache::recycling`], so a worker's
+/// consecutive cells reuse one LLC directory; worker threads free
+/// their spare when they exit, and dropping the streams frees the
+/// calling thread's (a one-worker sweep runs its cells there).
+pub(crate) struct SharedStreams<F> {
+    slots: Vec<(Mutex<Option<Arc<FilteredStream>>>, AtomicUsize)>,
+    filter: F,
+}
+
+impl<F: Fn(usize) -> FilteredStream> SharedStreams<F> {
+    /// `streams` slots, each replayed by `cells_each` cells; `filter(k)`
+    /// produces stream `k`.
+    pub(crate) fn new(streams: usize, cells_each: usize, filter: F) -> Self {
+        Self {
+            slots: (0..streams)
+                .map(|_| (Mutex::new(None), AtomicUsize::new(cells_each)))
+                .collect(),
+            filter,
+        }
+    }
+
+    /// Replays stream `k`; each of the slot's cells calls this exactly
+    /// once.
+    pub(crate) fn replay<R>(&self, k: usize, replay: impl FnOnce(&FilteredStream) -> R) -> R {
+        let (slot, left) = &self.slots[k];
+        let stream = {
+            let mut slot = slot.lock().expect("stream slot poisoned");
+            Arc::clone(slot.get_or_insert_with(|| Arc::new((self.filter)(k))))
+        };
+        let r = rtm_mem::cache::recycling(|| replay(&stream));
+        drop(stream);
+        if left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            slot.lock().expect("stream slot poisoned").take();
+        }
+        r
+    }
+}
+
+impl<F> Drop for SharedStreams<F> {
+    fn drop(&mut self) {
+        rtm_mem::cache::release_spare();
     }
 }
 
@@ -332,79 +397,116 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_are_thread_count_invariant() {
-        let mut s = SweepSettings::quick();
-        s.accesses = 4_000;
-        let choices = [LlcChoice::SramBaseline, LlcChoice::RacetrackIdeal];
-        let base = SimSweep::run_choices_with_threads(&s, &choices, 1, &Obs::default());
-        for threads in [2usize, 8] {
-            let alt = SimSweep::run_choices_with_threads(&s, &choices, threads, &Obs::default());
-            assert_eq!(base.by_choice, alt.by_choice, "threads={threads}");
-        }
-        let variants = [RtVariant::Baseline, RtVariant::SecdedSafeAdaptive];
-        let vbase = SimSweep::run_variants_with_threads(&s, &variants, 1);
-        let valt = SimSweep::run_variants_with_threads(&s, &variants, 8);
-        assert_eq!(vbase.by_variant, valt.by_variant);
-    }
-
-    #[test]
-    fn streamed_sweep_matches_collected_reference() {
-        // The streaming fold must reproduce the old collect-then-merge
-        // pipeline bit-for-bit: run the same grid through
-        // `parallel_map_with` + sequential merge and compare against
-        // the streamed sweep at several worker counts.
+    fn shared_stream_sweeps_match_per_cell_runs() {
+        // Oracle: every cell of a sweep that shares one filtered stream
+        // per workload, and every cell of the matrix (one stream for the
+        // whole grid), equals an independent `Hierarchy::run` of that
+        // cell alone — LLC choices, unsampled and sampled racetrack
+        // variants, and the matrix's sampled cells, at 1, 2 and 8
+        // workers.
+        use crate::experiments::matrix::{MatrixSettings, SchemeChoice, SchemeFaultMatrix};
+        use rtm_util::rng::derive_seed;
         let mut s = SweepSettings::quick();
         s.accesses = 4_000;
         s.workloads = Some(vec!["canneal", "x264"]);
-        let choices = [LlcChoice::SramBaseline, LlcChoice::RacetrackIdeal];
-        let profiles = s.profiles();
-        let cells: Vec<(WorkloadProfile, LlcChoice)> = profiles
-            .iter()
-            .flat_map(|&p| choices.iter().map(move |&c| (p, c)))
-            .collect();
-        let results = rtm_par::parallel_map_with(4, cells.len(), |i| {
-            let (p, c) = cells[i];
-            let mut sys = Hierarchy::new(c, Obs::default());
-            let mut gen =
-                TraceGenerator::new(p, rtm_util::rng::derive_seed(s.seed, seed_of(p.name)));
-            sys.run(&mut gen, s.accesses)
-        });
-        let mut collected: BTreeMap<&'static str, BTreeMap<String, SimResult>> = BTreeMap::new();
-        for ((p, c), r) in cells.into_iter().zip(results) {
-            collected
-                .entry(p.name)
-                .or_default()
-                .insert(c.to_string(), r);
-        }
-        for threads in [1usize, 2, 8] {
-            let streamed =
-                SimSweep::run_choices_with_threads(&s, &choices, threads, &Obs::default());
-            assert_eq!(streamed.by_choice, collected, "threads={threads}");
-        }
-    }
+        let run =
+            |mut sys: Hierarchy, s: &SweepSettings, p| sys.run(&mut s.generator(p), s.accesses);
+        type Grid = BTreeMap<&'static str, BTreeMap<String, SimResult>>;
 
-    #[test]
-    fn sampled_sweeps_are_thread_count_invariant() {
-        // PR 3 extension of the determinism matrix: engine-sampled
-        // variant sweeps must stay bit-identical across 1/2/8 workers.
-        let mut s = SweepSettings::quick();
-        s.accesses = 4_000;
-        s.workloads = Some(vec!["canneal", "x264"]);
-        s.sample_engine = Some(rtm_model::analytic::Engine::Analytic);
-        let variants = [RtVariant::Baseline, RtVariant::SecdedSafeAdaptive];
-        let base = SimSweep::run_variants_with_threads(&s, &variants, 1);
-        for threads in [2usize, 8] {
-            let alt = SimSweep::run_variants_with_threads(&s, &variants, threads);
-            assert_eq!(base.by_variant, alt.by_variant, "threads={threads}");
+        let choices = [
+            LlcChoice::SramBaseline,
+            LlcChoice::SttRam,
+            LlcChoice::RacetrackIdeal,
+            LlcChoice::RacetrackPeccSAdaptive,
+        ];
+        let mut want_choices = Grid::new();
+        for p in s.profiles() {
+            for c in choices {
+                let r = run(Hierarchy::new(c, Obs::default()), &s, p);
+                want_choices
+                    .entry(p.name)
+                    .or_default()
+                    .insert(c.to_string(), r);
+            }
         }
-        // Sampling actually happened on racetrack cells.
-        let sampled: u64 = base
-            .by_variant
+
+        let variants = [
+            RtVariant::Baseline,
+            RtVariant::SecdedSafeAdaptive,
+            RtVariant::Vahid2di,
+        ];
+        let mut sampled = s.clone();
+        sampled.sample_engine = Some(rtm_model::analytic::Engine::Analytic);
+        let want_variants = |s: &SweepSettings| {
+            let mut want = Grid::new();
+            let grid = s
+                .profiles()
+                .into_iter()
+                .flat_map(|p| variants.map(|v| (p, v)));
+            for (i, (p, v)) in grid.enumerate() {
+                let (kind, policy) = v.parts();
+                let sampling = s.sample_engine.map(|engine| {
+                    let seed = derive_seed(s.seed, 0x5EED_0000 + i as u64);
+                    (s.fault_model, engine, seed)
+                });
+                let sys = Hierarchy::racetrack(kind, policy, sampling, Obs::default());
+                want.entry(p.name)
+                    .or_default()
+                    .insert(v.label().to_string(), run(sys, s, p));
+            }
+            want
+        };
+        let (want_plain, want_sampled) = (want_variants(&s), want_variants(&sampled));
+        let drew: u64 = want_sampled
             .values()
             .flat_map(|per| per.values())
             .map(|r| r.llc.sampled_shifts)
             .sum();
-        assert!(sampled > 0, "engine sampling produced no draws");
+        assert!(drew > 0, "engine sampling produced no draws");
+
+        let mut m = MatrixSettings::quick();
+        m.accesses = 2_000;
+        m.schemes = vec![
+            SchemeChoice::Sts,
+            SchemeChoice::PeccSAdaptive,
+            SchemeChoice::Vahid2di,
+        ];
+        let profile = WorkloadProfile::by_name(m.workload).unwrap();
+        let mut want_matrix = Vec::new();
+        for (i, (scheme, fault_model)) in m
+            .schemes
+            .iter()
+            .flat_map(|&sc| m.fault_models.iter().map(move |&f| (sc, f)))
+            .enumerate()
+        {
+            let (kind, policy) = scheme.parts();
+            let seed = derive_seed(m.seed, 0x3A78_0000 + i as u64);
+            let mut sys = Hierarchy::racetrack(
+                kind,
+                policy,
+                Some((fault_model, m.engine, seed)),
+                Obs::default(),
+            );
+            let mut gen = TraceGenerator::new(profile, derive_seed(m.seed, 0x3A78_8000));
+            let r = sys.run(&mut gen, m.accesses);
+            want_matrix.push((r.llc.sampled_shifts, r.llc.observed_errors, r.cycles));
+        }
+
+        for threads in [1usize, 2, 8] {
+            let obs = Obs::default();
+            let got = SimSweep::run_choices_with_threads(&s, &choices, threads, &obs);
+            assert_eq!(got.by_choice, want_choices, "choices, threads={threads}");
+            let got = SimSweep::run_variants_with_threads(&s, &variants, threads);
+            assert_eq!(got.by_variant, want_plain, "variants, threads={threads}");
+            let got = SimSweep::run_variants_with_threads(&sampled, &variants, threads);
+            assert_eq!(got.by_variant, want_sampled, "sampled, threads={threads}");
+            let got: Vec<_> = SchemeFaultMatrix::run_with_threads(&m, threads, &obs)
+                .cells
+                .iter()
+                .map(|c| (c.sampled_shifts, c.observed_errors, c.cycles))
+                .collect();
+            assert_eq!(got, want_matrix, "matrix, threads={threads}");
+        }
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! the clock by its gap instructions plus the latency of the deepest
 //! level it had to reach.
 //!
+//! Each access is a front step through L1 and L2 and, for an L2 miss,
+//! a back step through the LLC and memory. [`Hierarchy::filter`] runs
+//! the front step alone and records the L2-miss stream
+//! ([`crate::stream`]); [`Hierarchy::replay`] serves that stream from
+//! any LLC with the same result as [`Hierarchy::run`], so a sweep over
+//! LLC configurations runs each trace through L1/L2 once.
+//!
 //! A hierarchy can also be built around any [`LlcModel`] via
 //! [`Hierarchy::with_llc`], for example an instrumented wrapper around
 //! a [`RacetrackLlc`], while reusing the L1/L2 front end unchanged.
@@ -15,10 +22,11 @@
 
 use crate::cache::{AccessKind, Cache};
 use crate::llc::{LlcModel, RacetrackLlc, SimpleLlc};
+use crate::stream::{FilteredStream, FrontConfig, FrontCounts};
 use rtm_controller::controller::ShiftPolicy;
 use rtm_cost::energy::{LlcActivity, LlcEnergyModel};
 use rtm_cost::overhead::Scheme;
-use rtm_cost::technology::{CacheTech, LlcDesign, SystemConfig};
+use rtm_cost::technology::{CacheTech, LlcDesign, SystemConfig, UpperLevelCache};
 use rtm_model::analytic::Engine;
 use rtm_obs::Obs;
 use rtm_pecc::layout::ProtectionKind;
@@ -208,16 +216,67 @@ impl SimResult {
     }
 }
 
+/// The L1/L2 front end: the private L1s and the shared L2, with the
+/// counters of the accesses they served.
+struct Front {
+    config: FrontConfig,
+    l1: Vec<Cache>,
+    l2: Cache,
+    counts: FrontCounts,
+}
+
+/// What one access did above the LLC.
+struct Step {
+    /// Gap instructions retired (1 IPC) before the access issued.
+    gap: u64,
+    /// L1 (and L2) latency.
+    latency: u64,
+    /// The L2 miss the LLC must serve, if any.
+    miss: Option<(u64, AccessKind)>,
+}
+
+impl Front {
+    fn new(config: &SystemConfig) -> Self {
+        let cache = |c: &UpperLevelCache| Cache::new(c.capacity_bytes, c.ways, config.line_bytes);
+        Self {
+            config: FrontConfig::of(config),
+            l1: (0..config.cores).map(|_| cache(&config.l1)).collect(),
+            l2: cache(&config.l2),
+            counts: FrontCounts::default(),
+        }
+    }
+
+    fn step(&mut self, a: &MemAccess) -> Step {
+        let kind = if a.is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let gap = a.gap_instructions as u64;
+        self.counts.accesses += 1;
+        self.counts.instructions += 1 + gap;
+        let core = (a.core as usize) % self.l1.len();
+        let mut latency = self.config.l1.access_cycles;
+        let mut miss = None;
+        if !self.l1[core].access(a.addr, kind).is_hit() {
+            self.counts.l1_misses += 1;
+            latency += self.config.l2.access_cycles;
+            if !self.l2.access(a.addr, kind).is_hit() {
+                self.counts.l2_misses += 1;
+                miss = Some((a.addr, kind));
+            }
+        }
+        Step { gap, latency, miss }
+    }
+}
+
 /// The simulated platform.
 pub struct Hierarchy {
     config: SystemConfig,
     choice: LlcChoice,
-    l1: Vec<Cache>,
-    l2: Cache,
+    front: Front,
     llc: Box<dyn LlcModel>,
     cycles: u64,
-    instructions: u64,
-    accesses: u64,
     dram_accesses: u64,
     /// The run's observer (records nothing by default).
     obs: Obs,
@@ -316,16 +375,11 @@ impl Hierarchy {
         };
         let config = SystemConfig::paper(tech);
         Self {
-            l1: (0..config.cores)
-                .map(|_| Cache::new(config.l1.capacity_bytes, config.l1.ways, config.line_bytes))
-                .collect(),
-            l2: Cache::new(config.l2.capacity_bytes, config.l2.ways, config.line_bytes),
+            front: Front::new(&config),
             llc,
             config,
             choice,
             cycles: 0,
-            instructions: 0,
-            accesses: 0,
             dram_accesses: 0,
             obs,
         }
@@ -336,39 +390,30 @@ impl Hierarchy {
         self.choice
     }
 
-    /// Drives one access through the hierarchy, returning its latency.
+    /// Drives one access through the hierarchy, returning its latency:
+    /// the L1/L2 step, then the LLC and memory for an L2 miss.
     pub fn access(&mut self, a: &MemAccess) -> u64 {
-        let kind = if a.is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        self.accesses += 1;
-        self.instructions += 1 + a.gap_instructions as u64;
-        // Gap instructions retire at 1 IPC before the access issues.
-        self.cycles += a.gap_instructions as u64;
-
-        let core = (a.core as usize) % self.l1.len();
-        let mut latency = self.config.l1.access_cycles;
-        let l1r = self.l1[core].access(a.addr, kind);
-        if !l1r.is_hit() {
-            latency += self.config.l2.access_cycles;
-            let l2r = self.l2.access(a.addr, kind);
-            if !l2r.is_hit() {
-                let llc_resp = self.llc.access(a.addr, kind, self.cycles);
-                latency += llc_resp.latency_cycles;
-                if !llc_resp.hit {
-                    latency += self.config.memory.access_cycles;
-                    self.dram_accesses += 1;
-                }
-                if llc_resp.writeback {
-                    self.dram_accesses += 1;
-                }
-            }
-        }
+        let step = self.front.step(a);
+        self.cycles += step.gap;
+        let latency = step.latency + step.miss.map_or(0, |(addr, kind)| self.back(addr, kind));
         self.cycles += latency;
         self.obs
             .observe("hier.access_latency_cycles", latency as f64);
+        latency
+    }
+
+    /// Serves an L2 miss from the LLC (and memory) at the current
+    /// cycle, returning the latency it adds.
+    fn back(&mut self, addr: u64, kind: AccessKind) -> u64 {
+        let llc_resp = self.llc.access(addr, kind, self.cycles);
+        let mut latency = llc_resp.latency_cycles;
+        if !llc_resp.hit {
+            latency += self.config.memory.access_cycles;
+            self.dram_accesses += 1;
+        }
+        if llc_resp.writeback {
+            self.dram_accesses += 1;
+        }
         latency
     }
 
@@ -390,18 +435,80 @@ impl Hierarchy {
         self.result()
     }
 
+    /// Runs `n` accesses from the generator through the paper's L1/L2
+    /// front end alone and records what reaches the LLC. Every
+    /// [`LlcChoice`] shares that front end, so one stream serves every
+    /// LLC of the same (workload, seed, accesses): `replay` of it on a
+    /// fresh hierarchy equals `run` of the same accesses.
+    pub fn filter(gen: &mut TraceGenerator, n: u64) -> FilteredStream {
+        let mut front = Front::new(&SystemConfig::paper(CacheTech::Racetrack));
+        let mut stream = FilteredStream::new(front.config);
+        // LLC-free clock, and its value when the last miss issued.
+        let (mut base, mut issued) = (0u64, 0u64);
+        for _ in 0..n {
+            let step = front.step(&gen.next_access());
+            base += step.gap;
+            if let Some((addr, kind)) = step.miss {
+                stream.push(addr, kind, base - issued);
+                issued = base;
+            }
+            base += step.latency;
+        }
+        stream.finish(front.counts, base)
+    }
+
+    /// Serves a [`Hierarchy::filter`]ed stream's misses from this
+    /// hierarchy's LLC and summarises; the result, and the
+    /// `hier.access_latency_cycles` histogram it records, equal those
+    /// of [`Hierarchy::run`] over the filtered accesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this hierarchy has already driven accesses or its
+    /// L1/L2 front end differs from the stream's.
+    pub fn replay(&mut self, stream: &FilteredStream) -> SimResult {
+        assert_eq!(
+            self.front.counts.accesses, 0,
+            "replay needs a fresh hierarchy"
+        );
+        assert_eq!(
+            self.front.config, stream.front,
+            "stream filtered through another L1/L2"
+        );
+        let l1 = self.config.l1.access_cycles;
+        let upper = l1 + self.config.l2.access_cycles;
+        let mut issued = 0u64;
+        for m in stream.misses() {
+            self.cycles += m.delta;
+            issued += m.delta;
+            let extra = self.back(m.addr, m.kind);
+            self.cycles += extra;
+            self.obs
+                .observe("hier.access_latency_cycles", (upper + extra) as f64);
+        }
+        // The base cycles after the last miss issued, its own L1/L2
+        // latency included.
+        self.cycles += stream.base_cycles - issued;
+        self.obs
+            .observe_n("hier.access_latency_cycles", l1 as f64, stream.l1_hits());
+        self.obs
+            .observe_n("hier.access_latency_cycles", upper as f64, stream.l2_hits());
+        self.front.counts = stream.counts;
+        self.result()
+    }
+
     /// Snapshot of the current state as a result record.
     pub fn result(&self) -> SimResult {
         let duration = Seconds(self.cycles as f64 / self.config.clock_hz);
         let llc = self.llc.stats();
         let result = SimResult {
             choice: self.choice,
-            accesses: self.accesses,
-            instructions: self.instructions,
+            accesses: self.front.counts.accesses,
+            instructions: self.front.counts.instructions,
             cycles: self.cycles,
             duration,
-            l1_misses: self.l1.iter().map(|c| c.stats().misses).sum(),
-            l2_misses: self.l2.stats().misses,
+            l1_misses: self.front.counts.l1_misses,
+            l2_misses: self.front.counts.l2_misses,
             llc,
             activity: self.llc.activity(duration),
             dram_accesses: self.dram_accesses,
@@ -422,7 +529,7 @@ impl std::fmt::Debug for Hierarchy {
         f.debug_struct("Hierarchy")
             .field("choice", &self.choice)
             .field("cycles", &self.cycles)
-            .field("accesses", &self.accesses)
+            .field("accesses", &self.front.counts.accesses)
             .finish()
     }
 }

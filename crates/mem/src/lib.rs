@@ -19,7 +19,9 @@
 //!
 //! * [`cache`] — generic set-associative LRU cache bookkeeping;
 //! * [`llc`] — the three LLC backends behind one interface;
-//! * [`hierarchy`] — the full system: trace in, statistics out.
+//! * [`hierarchy`] — the full system: trace in, statistics out;
+//! * [`stream`] — the L2-miss stream one L1/L2 pass leaves, which
+//!   [`Hierarchy::replay`] serves from any LLC.
 //!
 //! # Examples
 //!
@@ -42,7 +44,9 @@ pub mod cache;
 pub mod hierarchy;
 pub mod llc;
 pub mod physical;
+pub mod stream;
 
 pub use cache::{AccessKind, Cache, CacheStats};
 pub use hierarchy::{Hierarchy, LlcChoice, SimResult};
 pub use llc::{LlcStats, RacetrackLlc, SimpleLlc};
+pub use stream::FilteredStream;

@@ -183,6 +183,14 @@ impl Obs {
         }
     }
 
+    /// Records `value` `n` times into a default-bucket flat histogram
+    /// (no-op without a registry, or when `n` is 0).
+    pub fn observe_n(&self, name: &str, value: f64, n: u64) {
+        if let Some(reg) = self.metrics() {
+            reg.observe_n(name, value, n);
+        }
+    }
+
     /// Records an instant event (no-op without a trace).
     pub fn record_event(&self, cycle: u64, event: ShiftEvent) {
         if let Some(trace) = self.trace() {

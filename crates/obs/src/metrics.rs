@@ -141,14 +141,17 @@ impl AtomicHist {
         }
     }
 
-    fn observe(&self, value: f64) {
+    /// Records `value` `n` times. The sum grows by `value * n` in one
+    /// addition, which equals `n` single additions whenever every
+    /// partial sum is exact (integer values below 2^53).
+    fn observe_n(&self, value: f64, n: u64) {
         let idx = self
             .bounds
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        atomic_f64_add(&self.sum, value);
+        self.counts[idx].fetch_add(n, Ordering::Relaxed);
+        atomic_f64_add(&self.sum, value * n as f64);
         atomic_f64_extreme(&self.min, value, |v, cur| v < cur);
         atomic_f64_extreme(&self.max, value, |v, cur| v > cur);
     }
@@ -272,13 +275,13 @@ impl MetricsRegistry {
         );
     }
 
-    fn record(&self, name: &str, labels: &[(&str, &str)], value: f64, bounds: &[f64]) {
+    fn record(&self, name: &str, labels: &[(&str, &str)], value: f64, bounds: &[f64], n: u64) {
         self.with_cell(
             name,
             labels,
             || Cell::Histogram(AtomicHist::new(bounds)),
             |cell| match cell {
-                Cell::Histogram(h) => h.observe(value),
+                Cell::Histogram(h) => h.observe_n(value, n),
                 _ => debug_assert!(false, "metric {name} is not a histogram"),
             },
         );
@@ -306,14 +309,23 @@ impl MetricsRegistry {
     /// Records `value` into the histogram `name` with the
     /// [`DEFAULT_BUCKETS`] layout.
     pub fn observe(&self, name: &str, value: f64) {
-        self.record(name, &[], value, &DEFAULT_BUCKETS);
+        self.record(name, &[], value, &DEFAULT_BUCKETS, 1);
+    }
+
+    /// Records `value` `n` times into the histogram `name` with the
+    /// [`DEFAULT_BUCKETS`] layout, as `n` calls of [`Self::observe`]
+    /// would for integer values; does nothing when `n` is 0.
+    pub fn observe_n(&self, name: &str, value: f64, n: u64) {
+        if n > 0 {
+            self.record(name, &[], value, &DEFAULT_BUCKETS, n);
+        }
     }
 
     /// Records `value` into the histogram `name`, creating it with the
     /// given strictly increasing bucket upper bounds on first use.
     /// Later calls reuse the existing layout.
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
-        self.record(name, &[], value, bounds);
+        self.record(name, &[], value, bounds, 1);
     }
 
     /// Adds `delta` to counter `name` under a label set.
@@ -329,7 +341,7 @@ impl MetricsRegistry {
     /// Records `value` into histogram `name` under a label set, with the
     /// [`DEFAULT_BUCKETS`] layout.
     pub fn observe_labeled(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.record(name, labels, value, &DEFAULT_BUCKETS);
+        self.record(name, labels, value, &DEFAULT_BUCKETS, 1);
     }
 
     /// A copy of every flat metric, sorted by name. Cell values are
@@ -800,7 +812,7 @@ mod tests {
             for n in [1, 50] {
                 let hist = AtomicHist::new(&DEFAULT_BUCKETS);
                 for _ in 0..n {
-                    hist.observe(v);
+                    hist.observe_n(v, 1);
                 }
                 let h = hist.summary();
                 assert_eq!(h.count, n);
@@ -808,6 +820,22 @@ mod tests {
                 assert_eq!((h.p50, h.p95, h.p99), (v, v, v), "value {v}");
             }
         }
+    }
+
+    #[test]
+    fn observe_n_equals_repeated_observes_for_integer_values() {
+        let (one_by_one, batched) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for (v, n) in [(1.0, 7u64), (8.0, 0), (108.0, 3), (1.0, 2), (2.5e6, 11)] {
+            for _ in 0..n {
+                one_by_one.observe("lat", v);
+            }
+            batched.observe_n("lat", v, n);
+        }
+        assert_eq!(one_by_one.snapshot(), batched.snapshot());
+        // n = 0 creates nothing.
+        let empty = MetricsRegistry::new();
+        empty.observe_n("lat", 1.0, 0);
+        assert!(empty.snapshot().metrics.is_empty());
     }
 
     #[test]
